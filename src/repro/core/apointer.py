@@ -257,21 +257,26 @@ class APtr:
     def _deref(self, ctx: WarpContext, width: int, write: bool,
                mask: Optional[np.ndarray]):
         active = ctx.active if mask is None else (ctx.active & mask)
+        # Every lane active (the common case): skip the masking copies.
+        every = np.count_nonzero(active) == active.size
         self.avm.stats.derefs += 1
-        self._check_bounds(width, active)
+        self._check_bounds(width, None if every else active)
         if write and not self.writable:
             raise ProtectionError("write through a read-only apointer")
         if write:
             # Upgrade fault: lanes linked read-only must re-fault so the
             # paging backend sees the write (dirty marking, coherence).
-            upgrade = self.valid & ~self.linked_write & active
+            upgrade = self.valid & ~self.linked_write
+            if not every:
+                upgrade &= active
             if upgrade.any():
                 yield from self._unlink(ctx, upgrade)
         # Joint valid-bit vote across the warp (one instruction): the
         # fault-free path has no divergent control flow.  Under
         # speculative prefetch the vote overlaps the memory access
         # (§IV-B), so it adds no serial latency.
-        all_valid = wp.all_sync(self.valid, active)
+        all_valid = (bool(self.valid.all()) if every
+                     else wp.all_sync(self.valid, active))
         prefetching = self.config.variant is ImplVariant.PREFETCH
         ctx.charge(1, chain=0 if prefetching else 1, tag="translation")
         if not all_valid:
@@ -394,16 +399,35 @@ class APtr:
             if entry is not None:
                 entry.dirty = True
 
-    def _check_bounds(self, width: int, active: np.ndarray) -> None:
-        pos = self.pos[active]
+    def _check_bounds(self, width: int,
+                      active: Optional[np.ndarray]) -> None:
+        """Reject an access outside the mapping, not ``width``-aligned
+        in its page, or running past the page's end.  ``active=None``
+        means every lane."""
+        pos = self.pos if active is None else self.pos[active]
         if pos.size == 0:
             return
-        if int(pos.min()) < 0 or int(pos.max()) + width > self.size:
+        lo, hi = int(pos.min()), int(pos.max())
+        if lo < 0 or hi + width > self.size:
             raise BoundsError(
-                f"access at [{pos.min()}, {pos.max()} + {width}) outside "
+                f"access at [{lo}, {hi} + {width}) outside "
                 f"mapping of {self.size} bytes")
-        in_page = (self.base_offset + pos) % self.page_size
-        if int((in_page % width).max()) != 0:
+        page = self.page_size
+        if (width & (width - 1) == 0 and page % width == 0
+                and self.base_offset % width == 0):
+            # A power-of-two width dividing the page: alignment alone
+            # rules out straddling, and lanes align with their position.
+            misaligned = int(np.bitwise_or.reduce(pos)) & (width - 1)
+            end = 0
+        else:
+            in_page = (self.base_offset + pos) % page
+            misaligned = int((in_page % width).max())
+            end = int(in_page.max()) + width
+        if misaligned:
             raise BoundsError(
                 f"{width}-byte access not {width}-aligned "
                 "(would straddle a page boundary)")
+        if end > page:
+            raise BoundsError(
+                f"{width}-byte access at in-page offset {end - width} "
+                f"runs past the end of its {page}-byte page")

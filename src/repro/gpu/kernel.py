@@ -324,9 +324,7 @@ class WarpContext:
         elems = values.shape[1]
         width = int(np.dtype(dtype).itemsize)
         tx = self.memory.transactions_for(addrs, width * elems, mask=mask)
-        for j in range(elems):
-            self.memory.store_vector(addrs + j * width, values[:, j],
-                                     dtype, mask=mask)
+        self.memory.store_vector(addrs, values, dtype, mask=mask)
         pc, pch, tags = self._take_pending()
         self.now = yield self._tagged(
             MemAccess(transactions=tx, is_store=True, count=pc,

@@ -6,6 +6,12 @@ DRAM transactions is computed from the addresses exactly the way the
 hardware coalescer does — distinct 128-byte segments touched by the
 active lanes — so fully coalesced 4-byte accesses cost one transaction
 and scattered accesses cost up to 32.
+
+Data moves on one of two paths, chosen by the addresses alone.  When
+every active lane's address is a multiple of the element width, a warp
+access is one gather or scatter on a typed view of the byte array;
+otherwise (an unaligned lane) it moves the elements byte by byte.  Both
+paths read and write the same bytes.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ DTYPE_WIDTHS = {
     "u4": 4, "i4": 4, "f4": 4,
     "u8": 8, "i8": 8, "f8": 8,
 }
+_LOG2 = {1: 0, 2: 1, 4: 2, 8: 3}
 
 
 class MemoryError_(Exception):
@@ -36,6 +43,8 @@ class GlobalMemory:
         self.transaction_bytes = int(transaction_bytes)
         self.data = np.zeros(self.size, dtype=np.uint8)
         self._next_free = 0
+        #: Typed views of ``data`` by dtype, derived on first use.
+        self._views: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Allocation
@@ -76,58 +85,144 @@ class GlobalMemory:
     def load_vector(self, addrs: np.ndarray, dtype: str,
                     mask: np.ndarray | None = None) -> np.ndarray:
         """Gather one element of ``dtype`` per active lane."""
-        width = DTYPE_WIDTHS[dtype]
-        addrs = np.asarray(addrs, dtype=np.int64)
-        out = np.zeros(addrs.shape, dtype=np.dtype(dtype))
-        active = np.ones(addrs.shape, dtype=bool) if mask is None else mask
-        if not active.any():
-            return out
-        sel = addrs[active]
-        self._check_vec(sel, width)
-        gathered = np.stack(
-            [self.data[sel + i] for i in range(width)], axis=-1
-        )
-        out[active] = gathered.reshape(-1, width).copy().view(
-            np.dtype(dtype)).ravel()
-        return out
+        return self._load(addrs, dtype, None, mask)
 
     def load_vector_wide(self, addrs: np.ndarray, dtype: str, elems: int,
                          mask: np.ndarray | None = None) -> np.ndarray:
         """Gather ``elems`` consecutive elements of ``dtype`` per lane
         (vectorised 8/16-byte loads).  Returns shape ``(lanes, elems)``."""
-        width = DTYPE_WIDTHS[dtype]
-        addrs = np.asarray(addrs, dtype=np.int64)
-        cols = [self.load_vector(addrs + i * width, dtype, mask=mask)
-                for i in range(elems)]
-        return np.stack(cols, axis=1)
+        return self._load(addrs, dtype, elems, mask)
 
     def store_vector(self, addrs: np.ndarray, values: np.ndarray,
                      dtype: str, mask: np.ndarray | None = None) -> None:
-        """Scatter one element of ``dtype`` per active lane."""
+        """Scatter one element of ``dtype`` per active lane.
+
+        ``values`` of shape ``addrs.shape + (elems,)`` stores ``elems``
+        consecutive elements per lane: the wide store.  Lanes storing to
+        the same address leave the last lane's value.
+        """
         width = DTYPE_WIDTHS[dtype]
         addrs = np.asarray(addrs, dtype=np.int64)
         values = np.asarray(values, dtype=np.dtype(dtype))
-        active = np.ones(addrs.shape, dtype=bool) if mask is None else mask
-        if not active.any():
+        wide = values.ndim > addrs.ndim
+        elems = values.shape[-1] if wide else 1
+        nbytes = width * elems
+        mask = _partial(mask)
+        if mask is not None:
+            addrs = addrs[mask]
+            values = values[mask]
+            if addrs.size == 0:
+                return
+        idx = self._element_index(addrs, width)
+        if idx is not None:
+            if wide:
+                # Element-major, the order the byte path writes in:
+                # where two lanes' wide stores overlap, the later
+                # element wins.
+                idx = np.arange(elems)[:, None] + idx.ravel()
+                values = values.reshape(-1, elems).T
+            try:
+                self._typed(dtype)[idx] = values
+            except IndexError:
+                self._check_vec(addrs, nbytes)
+                raise
             return
-        sel = addrs[active]
-        self._check_vec(sel, width)
-        raw = values[active].copy().view(np.uint8).reshape(-1, width)
-        for i in range(width):
+        self._check_vec(addrs, nbytes)
+        sel = addrs.ravel()
+        raw = np.ascontiguousarray(values).view(np.uint8).reshape(
+            -1, nbytes)
+        for i in range(nbytes):
             self.data[sel + i] = raw[:, i]
 
     def transactions_for(self, addrs: np.ndarray, width: int,
                          mask: np.ndarray | None = None) -> int:
-        """DRAM transactions for a warp access (coalescer model)."""
-        addrs = np.asarray(addrs, dtype=np.int64)
+        """DRAM transactions for a warp access (coalescer model): the
+        distinct ``transaction_bytes`` segments the active lanes touch."""
+        addrs = np.asarray(addrs, dtype=np.int64).ravel()
+        mask = _partial(mask)
         if mask is not None:
-            addrs = addrs[mask]
+            addrs = addrs[mask.ravel()]
+        tb = self.transaction_bytes
         if addrs.size == 0:
             return 0
-        first = addrs // self.transaction_bytes
-        last = (addrs + width - 1) // self.transaction_bytes
-        segments = np.union1d(first, last)
-        return int(segments.size)
+        if addrs.size == 1:
+            addr = int(addrs[0])
+            return 1 + int((addr + width - 1) // tb != addr // tb)
+        first = addrs // tb
+        if _pow2(width) and tb % width == 0 and not (
+                int(np.bitwise_or.reduce(addrs)) & (width - 1)):
+            # No lane straddles a segment, so each lane touches exactly
+            # its ``first`` segment; when those never decrease across
+            # the warp, every change between neighbours is a new one.
+            steps = first[1:] - first[:-1]
+            if int(steps.min()) >= 0:
+                return 1 + int(np.count_nonzero(steps))
+        last = (addrs + width - 1) // tb
+        return int(np.union1d(first, last).size)
+
+    # ------------------------------------------------------------------
+    def __getstate__(self) -> dict:
+        # Typed views pickle as independent copies, so a copy's stores
+        # would never reach its ``data``; the copy re-derives them.
+        state = self.__dict__.copy()
+        state["_views"] = {}
+        return state
+
+    def _typed(self, dtype: str) -> np.ndarray:
+        """``data`` viewed as an array of ``dtype`` elements (the bytes
+        past the last whole element are left out)."""
+        view = self._views.get(dtype)
+        if view is None:
+            whole = self.size - self.size % DTYPE_WIDTHS[dtype]
+            view = self._views[dtype] = self.data[:whole].view(dtype)
+        return view
+
+    @staticmethod
+    def _element_index(addrs: np.ndarray, width: int) -> np.ndarray | None:
+        """Each lane's index into the ``width``-byte typed view, or
+        ``None`` when a lane address is negative or not a multiple of
+        ``width`` (the byte path).
+
+        An index past the view's end raises ``IndexError`` on use;
+        numpy checks every index before it moves any data.
+        """
+        bits = int(np.bitwise_or.reduce(addrs, axis=None))
+        if bits < 0 or bits & (width - 1):
+            return None
+        return addrs >> _LOG2[width] if width > 1 else addrs
+
+    def _load(self, addrs, dtype: str, elems: int | None,
+              mask: np.ndarray | None) -> np.ndarray:
+        """Gather per active lane one element (``elems=None``) or an
+        ``elems`` axis of consecutive elements."""
+        width = DTYPE_WIDTHS[dtype]
+        nbytes = width * (elems or 1)
+        addrs = np.asarray(addrs, dtype=np.int64)
+        shape = addrs.shape if elems is None else addrs.shape + (elems,)
+        mask = _partial(mask)
+        sel = addrs if mask is None else addrs[mask]
+        if sel.size == 0:
+            return np.zeros(shape, dtype=np.dtype(dtype))
+        idx = self._element_index(sel, width)
+        if idx is not None:
+            if elems is not None:
+                idx = idx[..., None] + np.arange(elems)
+            try:
+                vals = self._typed(dtype)[idx]
+            except IndexError:
+                self._check_vec(sel, nbytes)
+                raise
+        else:
+            self._check_vec(sel, nbytes)
+            raw = self.data[sel[..., None] + np.arange(nbytes)]
+            vals = raw.view(np.dtype(dtype))
+            if elems is None:
+                vals = vals.reshape(sel.shape)
+        if mask is None:
+            return vals
+        out = np.zeros(shape, dtype=np.dtype(dtype))
+        out[mask] = vals
+        return out
 
     # ------------------------------------------------------------------
     def _check(self, addr: int, nbytes: int) -> None:
@@ -143,6 +238,18 @@ class GlobalMemory:
                 f"device vector access out of bounds: "
                 f"[{addrs.min()}, {addrs.max() + width}) size {self.size}"
             )
+
+
+def _pow2(n: int) -> bool:
+    return n > 0 and not n & (n - 1)
+
+
+def _partial(mask: np.ndarray | None) -> np.ndarray | None:
+    """``mask``, or ``None`` when every lane is active (the shortcut
+    that skips the boolean-indexing copies)."""
+    if mask is None or np.count_nonzero(mask) == mask.size:
+        return None
+    return mask
 
 
 class Scratchpad:

@@ -299,6 +299,23 @@ class TestProtectionAndBounds:
         with pytest.raises(BoundsError):
             launch(device, kern)
 
+    def test_wide_access_running_past_page_end_rejected(self, device,
+                                                        gpufs):
+        # 12-byte lanes at in-page offsets 3720..4092: every offset is a
+        # multiple of 12, but lane 31 spans bytes 4092-4104 of a
+        # 4096-byte page and would read the next frame.
+        from repro.core.aarray import AArray
+        avm = make_avm(gpufs)
+        fid = gpufs.open("data")
+
+        def kern(ctx, base):
+            arr = AArray(avm.gvmmap(ctx, 8 * PAGE, fid), "f4")
+            yield from arr.get_block(ctx, base, 3)
+
+        launch(device, kern, 927)          # offsets 3708..4080: fits
+        with pytest.raises(BoundsError, match="past the end"):
+            launch(device, kern, 930)
+
 
 class TestEncodedWord:
     @pytest.mark.parametrize("fmt", [PtrFormat.LONG, PtrFormat.SHORT])

@@ -1,7 +1,11 @@
 """Unit tests for simulated global memory and scratchpad."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gpu.memory import DTYPE_WIDTHS, GlobalMemory, MemoryError_, Scratchpad
 
@@ -130,6 +134,195 @@ class TestCoalescing:
     def test_empty_mask_is_zero_transactions(self, mem):
         assert mem.transactions_for(np.arange(32), 4,
                                     mask=np.zeros(32, dtype=bool)) == 0
+
+
+# ----------------------------------------------------------------------
+# Byte-by-byte reference model of the warp accessors
+# ----------------------------------------------------------------------
+def ref_load(data, addrs, dtype, mask, elems):
+    """Each active lane reads its ``elems`` elements byte by byte."""
+    width = DTYPE_WIDTHS[dtype]
+    out = np.zeros((len(addrs), elems * width), dtype=np.uint8)
+    for lane, addr in enumerate(addrs):
+        if mask is None or mask[lane]:
+            for b in range(elems * width):
+                out[lane, b] = data[addr + b]
+    return out.view(np.dtype(dtype))
+
+
+def ref_store(data, addrs, values, dtype, mask):
+    """Element by element, byte by byte, lane by lane: later lanes win
+    where stores overlap."""
+    width = DTYPE_WIDTHS[dtype]
+    raw = np.ascontiguousarray(values).view(np.uint8)
+    lanes = [lane for lane in range(len(addrs))
+             if mask is None or mask[lane]]
+    for b in range(raw.shape[1]):
+        for lane in lanes:
+            data[addrs[lane] + b] = raw[lane, b]
+    assert raw.shape[1] % width == 0
+
+
+def ref_transactions(addrs, width, mask, tb=128):
+    addrs = np.asarray(addrs, dtype=np.int64)
+    if mask is not None:
+        addrs = addrs[mask]
+    if addrs.size == 0:
+        return 0
+    return np.union1d(addrs // tb, (addrs + width - 1) // tb).size
+
+
+@st.composite
+def warp_access(draw, max_elems=1):
+    """A memory (size not always a multiple of 8) and one warp access:
+    aligned or unaligned lanes, duplicates, and every kind of mask."""
+    dtype = draw(st.sampled_from(sorted(DTYPE_WIDTHS)))
+    width = DTYPE_WIDTHS[dtype]
+    elems = draw(st.integers(1, max_elems))
+    size = draw(st.integers(8 * max_elems + 8, 300))
+    lanes = draw(st.integers(1, 32))
+    top = size - width * elems
+    if draw(st.booleans()):
+        slots = st.integers(0, top // width).map(lambda k: k * width)
+    else:
+        slots = st.integers(0, top)
+    if draw(st.booleans()):          # few distinct addresses: duplicates
+        pool = draw(st.lists(slots, min_size=1, max_size=3))
+        slots = st.sampled_from(pool)
+    addrs = np.array(draw(st.lists(slots, min_size=lanes,
+                                   max_size=lanes)), dtype=np.int64)
+    mask = draw(st.one_of(
+        st.none(),
+        st.just(np.ones(lanes, dtype=bool)),
+        st.just(np.zeros(lanes, dtype=bool)),
+        st.lists(st.booleans(), min_size=lanes,
+                 max_size=lanes).map(lambda m: np.array(m, dtype=bool)),
+    ))
+    seed = draw(st.integers(0, 2**31))
+    return dtype, elems, size, addrs, mask, seed
+
+
+def _filled(size, seed):
+    mem = GlobalMemory(size)
+    mem.data[:] = np.random.RandomState(seed).randint(0, 256, size)
+    return mem
+
+
+def _random_values(rng, lanes, elems, dtype):
+    raw = rng.randint(0, 256, (lanes, elems * DTYPE_WIDTHS[dtype]))
+    return raw.astype(np.uint8).view(np.dtype(dtype))
+
+
+class TestFastPathEquivalence:
+    """The typed-view path and the byte path move the same bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(warp_access(max_elems=1))
+    def test_load_matches_byte_reference(self, access):
+        dtype, _, size, addrs, mask, seed = access
+        mem = _filled(size, seed)
+        got = mem.load_vector(addrs, dtype, mask=mask)
+        want = ref_load(mem.data, addrs, dtype, mask, 1)[:, 0]
+        assert got.dtype == np.dtype(dtype)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(warp_access(max_elems=4))
+    def test_wide_load_matches_byte_reference(self, access):
+        dtype, elems, size, addrs, mask, seed = access
+        mem = _filled(size, seed)
+        got = mem.load_vector_wide(addrs, dtype, elems, mask=mask)
+        want = ref_load(mem.data, addrs, dtype, mask, elems)
+        assert got.shape == (len(addrs), elems)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(warp_access(max_elems=1))
+    def test_store_matches_byte_reference(self, access):
+        dtype, _, size, addrs, mask, seed = access
+        mem = _filled(size, seed)
+        want = mem.data.copy()
+        values = _random_values(np.random.RandomState(seed + 1),
+                                len(addrs), 1, dtype)
+        mem.store_vector(addrs, values[:, 0], dtype, mask=mask)
+        ref_store(want, addrs, values, dtype, mask)
+        assert mem.data.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(warp_access(max_elems=4))
+    def test_wide_store_matches_byte_reference(self, access):
+        dtype, elems, size, addrs, mask, seed = access
+        mem = _filled(size, seed)
+        want = mem.data.copy()
+        values = _random_values(np.random.RandomState(seed + 1),
+                                len(addrs), elems, dtype)
+        mem.store_vector(addrs, values, dtype, mask=mask)
+        ref_store(want, addrs, values, dtype, mask)
+        assert mem.data.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(warp_access(max_elems=1),
+           st.sampled_from([1, 2, 4, 8, 12, 16, 128, 3072]))
+    def test_transactions_match_union_reference(self, access, width):
+        _, _, _, addrs, mask, seed = access
+        addrs = addrs + np.random.RandomState(seed).randint(0, 4) * 128
+        mem = GlobalMemory(1)
+        assert (mem.transactions_for(addrs, width, mask=mask)
+                == ref_transactions(addrs, width, mask))
+
+    @pytest.mark.parametrize("dtype", ["u2", "f4", "u8"])
+    def test_duplicate_aligned_stores_last_lane_wins(self, dtype):
+        mem = GlobalMemory(64)
+        width = DTYPE_WIDTHS[dtype]
+        addrs = np.array([0, width, 0, width, 0]) * 1
+        values = np.arange(1, 6).astype(np.dtype(dtype))
+        mem.store_vector(addrs, values, dtype)
+        back = mem.load_vector(np.array([0, width]), dtype)
+        assert back.tolist() == [5, 4]
+
+    def test_overlapping_wide_stores_keep_element_order(self):
+        # Lane 1's first element lands on lane 0's second; the byte
+        # path writes element column by column, so lane 0's second
+        # element (the later column) wins.
+        mem = GlobalMemory(64)
+        values = np.array([[1, 2], [3, 4]], dtype=np.uint32)
+        mem.store_vector(np.array([0, 4]), values, "u4")
+        assert mem.read(0, 12).view(np.uint32).tolist() == [1, 2, 4]
+
+    def test_aligned_out_of_bounds_raises_without_writing(self):
+        mem = GlobalMemory(100)           # the last 4 bytes: no u8 slot
+        addrs = np.array([0, 8, 96])
+        with pytest.raises(MemoryError_):
+            mem.store_vector(addrs, np.full(3, 7, np.uint64), "u8")
+        assert not mem.data.any()
+        with pytest.raises(MemoryError_):
+            mem.load_vector(addrs, "u8")
+        with pytest.raises(MemoryError_):
+            mem.load_vector_wide(np.array([80]), "u8", 3)
+
+    def test_negative_aligned_address_raises(self):
+        mem = GlobalMemory(64)
+        with pytest.raises(MemoryError_):
+            mem.load_vector(np.array([-8, 0]), "u8")
+        with pytest.raises(MemoryError_):
+            mem.store_vector(np.array([-8]), np.ones(1, np.uint64), "u8")
+
+    def test_tail_bytes_reachable_unaligned(self):
+        mem = GlobalMemory(13)
+        mem.store_vector(np.array([9]), np.array([0x01020304], np.uint32),
+                         "u4")
+        assert mem.load_vector(np.array([9]), "u4")[0] == 0x01020304
+
+    def test_pickled_copy_stores_reach_its_data(self):
+        mem = GlobalMemory(1024)
+        addrs = np.arange(32) * 4
+        mem.store_vector(addrs, np.arange(32, dtype=np.uint32), "u4")
+        clone = pickle.loads(pickle.dumps(mem))
+        clone.store_vector(addrs + 128, np.full(32, 9, np.uint32), "u4")
+        assert clone.read(128, 128).view(np.uint32).tolist() == [9] * 32
+        assert clone.read(0, 128).view(np.uint32).tolist() == list(
+            range(32))
+        assert not mem.read(128, 128).any()
 
 
 class TestScratchpad:
