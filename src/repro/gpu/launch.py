@@ -12,9 +12,7 @@ the engine's constructor and entry points accumulated PR over PR:
   hook against ``None``.
 * :class:`LaunchPlan` describes *what* to run: one list of block
   factories per device, the resident-blocks-per-SM occupancy, and the
-  hooks.  ``Engine.launch(plan)`` is the single entry point; the old
-  ``Engine.run(...)`` / ``Engine.run_groups(...)`` names survive as
-  deprecated shims for one release.
+  hooks.  ``Engine.launch(plan)`` is the single entry point.
 
 Neither class imports the engine, so they are cheap to construct and
 safe to build in caller modules without circular imports.

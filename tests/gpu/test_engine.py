@@ -8,8 +8,11 @@ that the paper's evaluation depends on.
 import numpy as np
 import pytest
 
-from repro.gpu import Device, K80_SPEC
+from repro.gpu import Device, K80_SPEC, Tracer
+from repro.gpu.engine import Engine
 from repro.gpu.instructions import TimedLock
+from repro.gpu.launch import LaunchPlan
+from tests.gpu.test_engine_golden import _contended_kernel_device
 
 
 @pytest.fixture
@@ -235,3 +238,87 @@ class TestLaunchValidation:
         assert r1.stats.loads == 1
         assert r1.stats.stores == 1
         assert dev.launches == 1
+
+
+class TestInstrumentationInvisible:
+    def test_traced_equals_untraced(self):
+        device, kern = _contended_kernel_device()
+        plain = device.launch(kern, grid=2, block_threads=64)
+        device2, kern2 = _contended_kernel_device()
+        tracer = Tracer()
+        traced = device2.launch(kern2, grid=2, block_threads=64,
+                                tracer=tracer)
+        assert traced.cycles == plain.cycles
+        assert traced.stats == plain.stats
+        assert tracer.events
+
+
+class TestSanitizedSyscallWorkloads:
+    """Write-capable syscall workloads pass their byte-exact oracles
+    with the runtime sanitizer on."""
+
+    def test_kvstore(self):
+        from repro.workloads import run_kvstore
+        res = run_kvstore(nwarps=2, records_per_warp=32, ops_per_warp=4,
+                          sanitize=True)
+        assert res.verified
+        assert (res.preads, res.pwrites, res.msyncs) == (4, 4, 2)
+        assert res.writeback_bytes == 4096
+
+    def test_grepscan(self):
+        from repro.workloads import run_grepscan
+        res = run_grepscan(nwarps=2, pages_per_warp=2, sanitize=True)
+        assert res.verified
+        assert res.bytes_scanned == 16384
+
+    def test_graphwalk(self):
+        from repro.workloads import run_graphwalk
+        res = run_graphwalk(nwarps=2, steps=4, nnodes=8 * 1024,
+                            sanitize=True)
+        assert res.verified
+        assert res.edges == 256
+
+
+class TestExperimentRows:
+    def test_table2_rows_pinned(self):
+        from repro.harness.experiments import ALL_EXPERIMENTS
+        result = ALL_EXPERIMENTS["table2"](scale="quick")
+        assert result.rows == [
+            {"access": "4-byte", "measured_gbs": 94.2,
+             "measured_pct": 62.0, "paper_gbs": 99.7, "paper_pct": 65.6},
+            {"access": "4-byte+rw", "measured_gbs": 81.2,
+             "measured_pct": 53.4, "paper_gbs": 97.7, "paper_pct": 64.3},
+            {"access": "8-byte", "measured_gbs": 140.4,
+             "measured_pct": 92.4, "paper_gbs": 148.7,
+             "paper_pct": 97.8},
+        ]
+
+
+class TestLaunchPlanValidation:
+    def test_single_wraps_factories(self):
+        plan = LaunchPlan.single([lambda: None])
+        assert plan.num_groups == 1
+
+    def test_flat_factory_list_rejected(self):
+        with pytest.raises(TypeError, match="groups"):
+            LaunchPlan(groups=[lambda: None])
+
+    def test_callable_groups_rejected(self):
+        with pytest.raises(TypeError):
+            LaunchPlan(groups=lambda: None)
+
+
+class TestRemovedEngineApi:
+    """Stale callers of the removed engine modes and shims fail loudly."""
+
+    def test_mode_keyword_rejected(self):
+        with pytest.raises(TypeError, match="mode"):
+            Engine(K80_SPEC, 1, mode="vector")
+
+    def test_tracer_keyword_rejected(self):
+        with pytest.raises(TypeError, match="tracer"):
+            Engine(K80_SPEC, 1, tracer=Tracer())
+
+    def test_run_entry_points_gone(self):
+        assert not hasattr(Engine, "run")
+        assert not hasattr(Engine, "run_groups")
