@@ -40,44 +40,36 @@ def pytest_configure(config):
 
 
 def _resolve(experiment):
-    """Experiment id, descriptor, or tagged callable -> descriptor
-    (``None`` for plain legacy callables)."""
+    """Experiment id, descriptor, or tagged callable -> descriptor."""
     if isinstance(experiment, str):
         return REGISTRY[experiment]
     if isinstance(experiment, Experiment):
         return experiment
-    return getattr(experiment, "experiment", None)
+    return experiment.experiment
 
 
 def run_experiment(benchmark, experiment, **kwargs):
     """Time one experiment run and attach its rows to the report.
 
     ``experiment`` is a registry id (``"table1"``), an
-    :class:`Experiment`, or — for backward compatibility — a plain
-    callable.  Registry entries honour the suite-wide ``--jobs``
-    option; a crashed grid point raises (a benchmark must not silently
-    bless partial results).
+    :class:`Experiment`, or an ``ALL_EXPERIMENTS`` callable.  Runs
+    honour the suite-wide ``--jobs`` option; a crashed grid point
+    raises (a benchmark must not silently bless partial results).
     """
     exp = _resolve(experiment)
-    if exp is None:
-        result = benchmark.pedantic(lambda: experiment(**kwargs),
-                                    rounds=1, iterations=1,
-                                    warmup_rounds=0)
-    else:
-        scale = kwargs.pop("scale", "quick")
-        options = kwargs or None
+    scale = kwargs.pop("scale", "quick")
+    options = kwargs or None
 
-        def run():
-            report = _run_points(exp, scale=scale, jobs=_JOBS,
-                                 options=options, progress=False)
-            if report.result.errors:
-                raise ExperimentPointError(exp.name,
-                                           report.result.errors)
-            return report.result
+    def run():
+        report = _run_points(exp, scale=scale, jobs=_JOBS,
+                             options=options, progress=False)
+        if report.result.errors:
+            raise ExperimentPointError(exp.name, report.result.errors)
+        return report.result
 
-        result = benchmark.pedantic(run, rounds=1, iterations=1,
-                                    warmup_rounds=0)
-        benchmark.extra_info["jobs"] = _JOBS
+    result = benchmark.pedantic(run, rounds=1, iterations=1,
+                                warmup_rounds=0)
+    benchmark.extra_info["jobs"] = _JOBS
     benchmark.extra_info["experiment"] = result.exp_id
     benchmark.extra_info["rows"] = json.loads(json.dumps(result.rows))
     return result

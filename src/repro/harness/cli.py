@@ -18,7 +18,8 @@ With ``--profile-dir`` every kernel launch inside an experiment is
 profiled (``repro.telemetry``): one ``LaunchProfile`` JSON per launch
 (plus Chrome-trace files when running serially — traces stay in the
 workers under ``--jobs``), and one merged *suite profile*
-(``suite-profile.json``, schema v5 with a ``run.workers`` section)
+(``suite-profile.json``, in the current schema (``SCHEMA_VERSION``,
+v8) with a ``run.workers`` section)
 per experiment, written under ``PROFILE_DIR/<experiment>/``.
 ``--attribute`` additionally runs the cycle-attribution analyzer on
 every launch (:mod:`repro.telemetry.attribution`) and stores its
@@ -43,7 +44,6 @@ progress line (heartbeat files are still written).
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
@@ -55,8 +55,13 @@ from repro.harness.reporting import (
     format_profile,
     format_result,
 )
-from repro.harness.runner import resolve_jobs, run_experiment, \
-    spawn_executor
+from repro.harness.runner import (
+    Instrumentation,
+    LiveOptions,
+    resolve_jobs,
+    run_experiment,
+    spawn_executor,
+)
 
 
 def main(argv=None) -> int:
@@ -151,35 +156,22 @@ def main(argv=None) -> int:
     try:
         for name in names:
             started = time.time()
-            fn = ALL_EXPERIMENTS[name]
-            exp = getattr(fn, "experiment", None)
+            exp = ALL_EXPERIMENTS[name].experiment
+            live = None
+            if args.live_dir or args.timeseries:
+                live = LiveOptions(
+                    live_dir=(os.path.join(args.live_dir, name)
+                              if args.live_dir else None),
+                    window_cycles=args.window_cycles)
             try:
-                if exp is None:
-                    # Legacy callable (tests monkeypatch these): run
-                    # directly, fail-fast.
-                    result = _run_legacy(fn, args)
-                    report = None
-                else:
-                    live = None
-                    if args.live_dir or args.timeseries:
-                        from repro.harness.runner import LiveOptions
-                        live = LiveOptions(
-                            live_dir=(os.path.join(args.live_dir, name)
-                                      if args.live_dir else None),
-                            window_cycles=args.window_cycles)
-                    from repro.harness.runner import Instrumentation
-                    report = run_experiment(
-                        exp, scale=args.scale, jobs=jobs,
-                        options={"eviction_policy":
-                                 args.eviction_policy},
-                        instrument=Instrumentation(
-                            profile=bool(args.profile_dir),
-                            attribution=args.attribute,
-                            live=live),
-                        progress=(False if args.no_progress
-                                  else None),
-                        executor=executor)
-                    result = report.result
+                report = run_experiment(
+                    exp, scale=args.scale, jobs=jobs,
+                    options={"eviction_policy": args.eviction_policy},
+                    instrument=Instrumentation(
+                        profile=bool(args.profile_dir),
+                        attribution=args.attribute, live=live),
+                    progress=False if args.no_progress else None,
+                    executor=executor)
             except Exception:
                 # Don't lose the experiments that already finished:
                 # flush a partial report, then surface the failure
@@ -195,6 +187,7 @@ def main(argv=None) -> int:
                          "no --markdown to save to"),
                       file=sys.stderr)
                 raise
+            result = report.result
             elapsed = time.time() - started
             print(format_result(result))
             print(f"[{name} finished in {elapsed:.1f}s"
@@ -204,11 +197,10 @@ def main(argv=None) -> int:
                 for err in result.errors:
                     print(f"error: {name} point {err['params']}: "
                           f"{err['error']}", file=sys.stderr)
-            if args.profile_dir and report is not None \
-                    and report.profiles:
+            if args.profile_dir and report.profiles:
                 _write_profiles(args.profile_dir, name, report)
-            if args.trend_file and exp is not None \
-                    and exp.trend is not None and not result.errors:
+            if args.trend_file and exp.trend is not None \
+                    and not result.errors:
                 try:
                     metric = exp.trend(result)
                 except Exception as exc:   # noqa: BLE001 — trend is
@@ -242,18 +234,6 @@ def main(argv=None) -> int:
         _write_markdown(args, markdown_parts)
         print(f"markdown written to {args.markdown}")
     return rc
-
-
-def _run_legacy(fn, args):
-    """Direct call of a plain (non-registry) experiment callable."""
-    kwargs = {"scale": args.scale}
-    if args.eviction_policy:
-        # Only experiments that expose the knob receive it; the rest
-        # run unchanged rather than erroring on an unknown kwarg.
-        params = inspect.signature(fn).parameters
-        if "eviction_policy" in params:
-            kwargs["eviction_policy"] = args.eviction_policy
-    return fn(**kwargs)
 
 
 def _write_profiles(profile_dir, name, report) -> None:

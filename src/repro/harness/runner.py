@@ -15,8 +15,9 @@ with:
 * **per-worker profile merging** — with ``profile=True`` each point
   runs under :func:`repro.telemetry.capture` and its
   ``LaunchProfile`` documents are shipped back and merged into one
-  suite profile (:func:`repro.telemetry.merge_profiles`, schema v4
-  with a ``run.workers`` section);
+  suite profile (:func:`repro.telemetry.merge_profiles`, in the
+  current schema (``SCHEMA_VERSION``, v8) with a ``run.workers``
+  section);
 * **live telemetry** — with a :class:`LiveOptions`, every point runs
   under the cycle-window sampler
   (:mod:`repro.telemetry.timeseries`): each process streams its
@@ -57,17 +58,6 @@ from repro.harness.registry import Experiment, ExperimentResult
 DEFAULT_BASE_SEED = 0x5EED
 
 
-#: Deprecation warnings already emitted this process (one per key).
-_WARNED: set = set()
-
-
-def _warn_once(key: str, message: str) -> None:
-    import warnings
-    if key not in _WARNED:
-        _WARNED.add(key)
-        warnings.warn(message, DeprecationWarning, stacklevel=3)
-
-
 @dataclass(frozen=True)
 class LiveOptions:
     """Live-telemetry configuration for a run (implies profiling).
@@ -82,7 +72,6 @@ class LiveOptions:
     """
 
     live_dir: Optional[str] = None
-    timeseries: bool = True
     window_cycles: Optional[float] = None     # None = sampler default
     heartbeat_interval: float = DEFAULT_MIN_INTERVAL
 
@@ -111,10 +100,6 @@ class Instrumentation:
     trace: Optional[bool] = None
     attribution: bool = False
     live: Optional[LiveOptions] = None
-
-    @classmethod
-    def off(cls) -> "Instrumentation":
-        return cls()
 
 
 class ExperimentPointError(RuntimeError):
@@ -152,7 +137,7 @@ class RunReport:
     outcomes: list
     profiles: list = field(default_factory=list)   # docs, grid order
     tracers: list = field(default_factory=list)    # parallel to profiles
-    merged: Optional[dict] = None                  # suite profile (v4)
+    merged: Optional[dict] = None                  # suite profile
     jobs: int = 1
     elapsed: float = 0.0
 
@@ -181,7 +166,7 @@ def _sampling_config(live: Optional["LiveOptions"], exp_name: str,
     """Per-point sampling wiring for :func:`_execute_point`, or
     ``None`` when live telemetry is off.  Built in the process that
     runs the point (the ``on_window`` closure is not picklable)."""
-    if live is None or not live.timeseries:
+    if live is None:
         return None
     cfg: dict = {
         "window_cycles": live.window_cycles,
@@ -272,13 +257,13 @@ def resolve_jobs(jobs: int) -> int:
     return jobs if jobs > 0 else (os.cpu_count() or 1)
 
 
-def run_experiment(exp: Experiment, *, scale: str = "quick",
-                   jobs: int = 1, options: Optional[dict] = None,
-                   instrument: Optional[Instrumentation] = None,
-                   base_seed: int = DEFAULT_BASE_SEED,
-                   progress: Optional[bool] = None,
-                   executor: Optional[ProcessPoolExecutor] = None,
-                   **legacy) -> RunReport:
+def run_experiment(
+        exp: Experiment, *, scale: str = "quick", jobs: int = 1,
+        options: Optional[dict] = None,
+        instrument: Optional[Instrumentation] = None,
+        base_seed: int = DEFAULT_BASE_SEED,
+        progress: Optional[bool] = None,
+        executor: Optional[ProcessPoolExecutor] = None) -> RunReport:
     """Run every grid point of ``exp``; return a :class:`RunReport`.
 
     ``jobs=1`` runs in-process; ``jobs>1`` fans points out over a
@@ -291,14 +276,9 @@ def run_experiment(exp: Experiment, *, scale: str = "quick",
     ``instrument`` (an :class:`Instrumentation`) bundles every
     observation switch: profiling, tracing, cycle attribution, and
     live telemetry.  ``attribution`` and ``live`` imply profiling.
-    The pre-PR-9 per-switch keywords (``profile=``, ``trace=``,
-    ``attribution=``, ``live=``) survive as deprecated shims that
-    warn once.
     """
-    if legacy:
-        instrument = _fold_legacy_instrument(instrument, legacy)
     if instrument is None:
-        instrument = Instrumentation.off()
+        instrument = Instrumentation()
     trace = instrument.trace
     attribution = instrument.attribution
     live = instrument.live
@@ -345,7 +325,7 @@ def run_experiment(exp: Experiment, *, scale: str = "quick",
         pool = executor if executor is not None else spawn_executor(jobs)
         manager = None
         beat_queue = None
-        if live is not None and live.timeseries:
+        if live is not None:
             # Spawn-safe heartbeat channel: a manager-proxy queue is
             # picklable, so workers can push window beats mid-point
             # (an executor's own result pipe only speaks at task end).
@@ -424,36 +404,6 @@ def run_experiment(exp: Experiment, *, scale: str = "quick",
     return RunReport(result=result, outcomes=outcomes,
                      profiles=profiles, tracers=tracers, merged=merged,
                      jobs=jobs, elapsed=time.time() - started)
-
-
-def _fold_legacy_instrument(instrument: Optional[Instrumentation],
-                            legacy: dict) -> Instrumentation:
-    """Fold deprecated per-switch keywords into one Instrumentation."""
-    values = {}
-    for name in ("profile", "trace", "attribution", "live"):
-        if name in legacy:
-            _warn_once(
-                f"run_experiment({name}=)",
-                f"run_experiment({name}=...) is deprecated; bundle "
-                "observation switches into "
-                f"Instrumentation({name}=...) and pass "
-                "run_experiment(..., instrument=...) instead")
-            values[name] = legacy.pop(name)
-    if legacy:
-        name = next(iter(legacy))
-        raise TypeError(
-            f"run_experiment() got an unexpected keyword argument "
-            f"{name!r}")
-    if instrument is None:
-        return Instrumentation(**values)
-    defaults = Instrumentation.off()
-    for name, value in values.items():
-        if getattr(instrument, name) != getattr(defaults, name):
-            raise TypeError(
-                f"run_experiment() got both instrument.{name} and the "
-                f"deprecated {name}= keyword")
-    import dataclasses
-    return dataclasses.replace(instrument, **values)
 
 
 def run_named(name: str, **kwargs) -> RunReport:

@@ -13,7 +13,9 @@ turns them into one structured, exportable view of a launch:
 * ``Tracer.to_chrome_trace()`` — Chrome ``trace_event`` export, loadable
   in Perfetto, with paging spans (page-in, fault filters, warp fault
   handling) on the timeline next to the engine's macro-ops.
-* :func:`validate_profile` — schema check for the profile JSON.
+* :func:`validate_profile` — schema check for current-version profile
+  JSON; :func:`upgrade_profile` lifts an archived document to the
+  current version first.
 * :func:`attribute_tracer` / :func:`attribute_events` — the cycle
   attribution analyzer (:mod:`repro.telemetry.attribution`): per-warp
   stall accounting, the launch critical path, and the hidden-vs-exposed
@@ -40,6 +42,7 @@ from repro.telemetry.profile import (
     LaunchProfile,
     MetricsRegistry,
     merge_profiles,
+    upgrade_profile,
     validate_profile,
 )
 from repro.telemetry.profiler import Profiler, capture, write_profile_docs
@@ -76,6 +79,7 @@ __all__ = [
     "merge_profiles",
     "merge_series",
     "prometheus_lines",
+    "upgrade_profile",
     "validate_profile",
     "write_profile_docs",
     "write_prometheus",

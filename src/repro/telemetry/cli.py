@@ -7,7 +7,9 @@ Two modes:
   :meth:`~repro.gpu.trace.Tracer.to_chrome_trace` export), run the
   cycle-attribution analyzer, and print the hidden-vs-exposed
   translation report.  Directories are scanned for ``trace-*.json``;
-  ``--validate`` also schema-checks every ``profile-*.json`` found.
+  ``--validate`` also schema-checks every ``profile-*.json`` found,
+  lifting archived versions with :func:`~repro.telemetry.upgrade_profile`
+  first.
 * **Trend compare** (``--compare``): diff the latest ``BENCH_trend.json``
   row against the previous one; exit 1 on a >10% regression of a
   tier-1 metric.  This is the CI perf gate.
@@ -47,27 +49,33 @@ def _cmd_attribute(args) -> int:
         TruncatedTraceError,
         attribute_chrome_trace,
     )
-    from repro.telemetry.profile import validate_profile
+    from repro.telemetry.profile import (
+        SCHEMA_VERSION,
+        upgrade_profile,
+        validate_profile,
+    )
 
     traces, profiles = _iter_inputs(args.paths)
     if args.validate:
         for path in profiles:
             with open(path) as f:
-                doc = json.load(f)
+                on_disk = json.load(f)
             try:
+                doc = upgrade_profile(on_disk)
                 validate_profile(doc)
             except ValueError as exc:
                 print(f"{path}: INVALID profile: {exc}",
                       file=sys.stderr)
                 return 2
             note = ""
-            series = doc.get("components", {}).get("timeseries", {})
-            if series.get("enabled"):
-                note = (f", {series.get('windows', 0)} sampled "
-                        f"windows @ "
-                        f"{series.get('window_cycles', 0):g} cycles")
+            if on_disk["version"] != SCHEMA_VERSION:
+                note = f", upgraded to v{SCHEMA_VERSION}"
+            series = doc["components"]["timeseries"]
+            if series["enabled"]:
+                note += (f", {series['windows']} sampled windows @ "
+                         f"{series['window_cycles']:g} cycles")
             print(f"{path}: valid profile "
-                  f"(schema v{doc.get('version')}{note})")
+                  f"(schema v{on_disk['version']}{note})")
     if not traces:
         if args.validate and profiles:
             return 0

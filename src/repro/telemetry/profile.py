@@ -7,13 +7,16 @@ and the per-launch deltas of every registered component counter
 (translation-layer :class:`~repro.core.metrics.APStats`, paging-layer
 ``PagingStats``, transfer-batcher stats, ...).
 
-The document format is versioned (``schema`` / ``version`` keys) and
-checked by :func:`validate_profile`, which is what the telemetry tests
-assert against — downstream tooling can rely on the shape.
+The document format is versioned (``schema`` / ``version`` keys).
+:func:`validate_profile` checks the current version only, and
+:func:`upgrade_profile` is the one migration: it lifts an archived
+document to the current version, so it is the only code that knows the
+schema's version history.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -43,16 +46,16 @@ SCHEMA_NAME = "repro.telemetry/launch-profile"
 #: their summed span-cycles.  All zero when no tracer was attached.
 SCHEMA_VERSION = 8
 
-#: Versions ``validate_profile`` accepts: current plus archived ones
-#: whose required sections are a subset of what we still emit.
-ACCEPTED_VERSIONS = frozenset({2, 3, 4, 5, 6, 7, SCHEMA_VERSION})
+#: Oldest archived version :func:`upgrade_profile` lifts.
+_OLDEST_VERSION = 2
 
 #: Required integer counters of ``run.workers`` when a ``run`` section
-#: is present (v4+).
+#: is present.
 _RUN_WORKER_KEYS = ("count", "jobs", "points", "launches", "errors")
 
-#: components.* keys required per version (cumulative: version N
-#: requires every entry with ``since <= N``).
+#: Required components.* keys, with the version each section first
+#: appeared in (``since``).  Only :func:`upgrade_profile` reads
+#: ``since``: it zero-fills the sections an older document predates.
 _COMPONENT_KEYS = (
     ("translation", 1, ("tlb_hit_rate", "tlb_hits", "tlb_misses",
                         "translation_faults")),
@@ -210,15 +213,57 @@ _SM_SCHEMA = {"sm": int, "busy_cycles": (int, float),
               "idle_cycles": (int, float), "utilization": (int, float)}
 
 
-def validate_profile(doc: dict) -> None:
-    """Raise ``ValueError`` unless ``doc`` is a valid profile document."""
+def upgrade_profile(doc: dict) -> dict:
+    """Lift a profile document of any archived version to the current
+    :data:`SCHEMA_VERSION`; raise ``ValueError`` if it has none.
+
+    Returns a deep copy stamped with the current version, in which every
+    component section the document's version predates is zero-filled
+    (``timeseries`` also gets an empty ``series``).  ``doc`` itself is
+    never mutated; a current document is returned as it is.  The result
+    is not validated — pass it to :func:`validate_profile`, which then
+    also catches a document claiming a version whose sections it lacks.
+    """
     if not isinstance(doc, dict):
         raise ValueError("profile must be a JSON object")
     if doc.get("schema") != SCHEMA_NAME:
         raise ValueError(f"bad schema marker: {doc.get('schema')!r}")
     version = doc.get("version")
-    if version not in ACCEPTED_VERSIONS:
+    # A bool is an int here, but True == 1 falls below the range.
+    if not isinstance(version, int) \
+            or not _OLDEST_VERSION <= version <= SCHEMA_VERSION:
         raise ValueError(f"unsupported version: {version!r}")
+    if version == SCHEMA_VERSION:
+        return doc
+    if doc.get("run") is not None and version < 4:
+        raise ValueError(f"run section requires version >= 4, "
+                         f"got {version}")
+    upgraded = copy.deepcopy(doc)
+    upgraded["version"] = SCHEMA_VERSION
+    components = upgraded.get("components")
+    if isinstance(components, dict):
+        for kind, since, keys in _COMPONENT_KEYS:
+            if since > version:
+                components[kind] = dict.fromkeys(keys, 0)
+                if kind == "timeseries":
+                    components[kind]["series"] = []
+    return upgraded
+
+
+def validate_profile(doc: dict) -> None:
+    """Raise ``ValueError`` unless ``doc`` is a valid current-version
+    profile document (older versions go through
+    :func:`upgrade_profile` first)."""
+    if not isinstance(doc, dict):
+        raise ValueError("profile must be a JSON object")
+    if doc.get("schema") != SCHEMA_NAME:
+        raise ValueError(f"bad schema marker: {doc.get('schema')!r}")
+    version = doc.get("version")
+    if version != SCHEMA_VERSION:
+        raise ValueError(
+            f"unsupported version: {version!r}; validate_profile checks "
+            f"the current schema (v{SCHEMA_VERSION}) only — lift an "
+            f"archived document with upgrade_profile() first")
     for section, fields in PROFILE_SCHEMA.items():
         sub = doc.get(section)
         if not isinstance(sub, dict):
@@ -243,9 +288,7 @@ def validate_profile(doc: dict) -> None:
         if not isinstance(doc.get(section), dict):
             raise ValueError(f"{section} must be an object")
     components = doc["components"]
-    for kind, since, keys in _COMPONENT_KEYS:
-        if version < since:
-            continue
+    for kind, _since, keys in _COMPONENT_KEYS:
         sub = components.get(kind)
         if not isinstance(sub, dict):
             raise ValueError(f"components.{kind} missing")
@@ -254,20 +297,18 @@ def validate_profile(doc: dict) -> None:
                     or isinstance(sub.get(key), bool):
                 raise ValueError(
                     f"components.{kind}.{key} missing or mistyped")
-    if version >= 6:
-        # timeseries carries the one non-scalar component payload: the
-        # per-window series list (possibly empty when sampling is off).
-        series = components["timeseries"].get("series")
-        if not isinstance(series, list):
-            raise ValueError("components.timeseries.series must be "
-                             "a list")
-        for record in series:
-            if not isinstance(record, dict) \
-                    or not isinstance(record.get("window"), int) \
-                    or not isinstance(record.get("sm_busy"), list):
-                raise ValueError(
-                    "components.timeseries.series[] records need "
-                    "integer 'window' and list 'sm_busy' keys")
+    # timeseries carries the one non-scalar component payload: the
+    # per-window series list (possibly empty when sampling is off).
+    series = components["timeseries"].get("series")
+    if not isinstance(series, list):
+        raise ValueError("components.timeseries.series must be a list")
+    for record in series:
+        if not isinstance(record, dict) \
+                or not isinstance(record.get("window"), int) \
+                or not isinstance(record.get("sm_busy"), list):
+            raise ValueError(
+                "components.timeseries.series[] records need "
+                "integer 'window' and list 'sm_busy' keys")
     for key, value in doc["stalls"].items():
         if not isinstance(value, (int, float)):
             raise ValueError(f"stalls.{key} must be numeric")
@@ -276,9 +317,6 @@ def validate_profile(doc: dict) -> None:
         raise ValueError("trace must be an object or null")
     run = doc.get("run")
     if run is not None:
-        if version < 4:
-            raise ValueError(f"run section requires version >= 4, "
-                             f"got {version}")
         if not isinstance(run, dict) \
                 or not isinstance(run.get("workers"), dict):
             raise ValueError("run.workers must be an object")
@@ -303,12 +341,13 @@ def merge_profiles(docs: list, *, name: str = "suite",
     result is a valid current-schema profile whose ``run.workers``
     section records the fan-out (worker/point/launch/error counts).
 
-    ``docs`` may come from different schema versions; missing component
-    sections are zero-filled so the merged document always carries the
-    current version's full component set.
+    ``docs`` may come from different schema versions: each is lifted
+    by :func:`upgrade_profile` and validated before merging, so the
+    merged document carries the current version's full component set.
     """
     if not docs:
         raise ValueError("merge_profiles needs at least one profile")
+    docs = [upgrade_profile(doc) for doc in docs]
     for doc in docs:
         validate_profile(doc)
 
@@ -347,12 +386,7 @@ def merge_profiles(docs: list, *, name: str = "suite",
     from repro.telemetry.timeseries import merge_series
     components["timeseries"] = merge_series(docs)
 
-    # Zero-fill every component section the current schema requires,
-    # then recompute the derived rates from the summed raw counters.
-    for kind, _since, keys in _COMPONENT_KEYS:
-        sub = components.setdefault(kind, {})
-        for key in keys:
-            sub.setdefault(key, 0)
+    # Recompute the derived rates from the summed raw counters.
     tr = components["translation"]
     lookups = tr.get("tlb_hits", 0) + tr.get("tlb_misses", 0)
     tr["tlb_hit_rate"] = (tr.get("tlb_hits", 0) / lookups

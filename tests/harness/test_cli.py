@@ -7,7 +7,24 @@ import pytest
 
 from repro.harness import cli
 from repro.harness.experiments import ALL_EXPERIMENTS
+from repro.harness.registry import Column, Experiment
 from repro.telemetry import validate_profile
+
+
+def _boom_grid(scale):
+    raise RuntimeError("synthetic failure")
+
+
+def _install_boom(monkeypatch):
+    """Make ``table1`` an experiment whose run raises from inside
+    ``run_experiment`` (its grid fails before any point runs)."""
+    def run(scale="quick", **options):
+        raise AssertionError("CLI must use the runner path")
+    run.experiment = Experiment(
+        name="boom", title="grid raises",
+        columns=(Column("value", role="param"),),
+        point=lambda *, scale, value: [], grid=_boom_grid)
+    monkeypatch.setitem(ALL_EXPERIMENTS, "table1", run)
 
 
 class TestMarkdownOutput:
@@ -22,11 +39,7 @@ class TestMarkdownOutput:
     def test_failed_experiment_writes_partial_markdown(
             self, tmp_path, monkeypatch, capsys):
         target = tmp_path / "results.md"
-
-        def boom(scale="quick"):
-            raise RuntimeError("synthetic failure")
-
-        monkeypatch.setitem(ALL_EXPERIMENTS, "table1", boom)
+        _install_boom(monkeypatch)
         with pytest.raises(RuntimeError, match="synthetic failure"):
             cli.main(["table1", "--markdown", str(target)])
         text = target.read_text()
@@ -36,11 +49,8 @@ class TestMarkdownOutput:
 
     def test_failure_without_markdown_still_raises(self, monkeypatch,
                                                    capsys):
-        def boom(scale="quick"):
-            raise RuntimeError("synthetic failure")
-
-        monkeypatch.setitem(ALL_EXPERIMENTS, "table1", boom)
-        with pytest.raises(RuntimeError):
+        _install_boom(monkeypatch)
+        with pytest.raises(RuntimeError, match="synthetic failure"):
             cli.main(["table1"])
 
 

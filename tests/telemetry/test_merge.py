@@ -1,8 +1,9 @@
 """merge_profiles: suite profiles from per-launch documents.
 
-Covers the schema ``run`` section (v4+): counter summing, rate
+Covers the schema ``run`` section: counter summing, rate
 recomputation, zero-filling of component sections from older-version
-inputs, and validation of the ``run.workers`` block.
+inputs (through ``upgrade_profile``), and validation of the
+``run.workers`` block.
 """
 
 import json
@@ -10,9 +11,14 @@ import json
 import pytest
 
 from repro.gpu import Device
-from repro.telemetry import capture, merge_profiles, validate_profile
+from repro.telemetry import (
+    capture,
+    merge_profiles,
+    upgrade_profile,
+    validate_profile,
+)
 
-V2_FIXTURE = "tests/telemetry/fixtures/profile-v2.json"
+FIXTURE = "tests/telemetry/fixtures/profile-v{}.json"
 
 
 @pytest.fixture
@@ -87,14 +93,20 @@ class TestMerge:
                            "launches": len(launch_docs), "errors": 1}
         validate_profile(json.loads(json.dumps(merged)))
 
-    def test_v2_inputs_zero_fill_new_components(self):
-        with open(V2_FIXTURE) as f:
+    @pytest.mark.parametrize("version, added", [
+        (2, "sanitizer"), (5, "timeseries"), (6, "syscalls"),
+        (7, "spans"),
+    ], ids=["v2", "v5", "v6", "v7"])
+    def test_v2_inputs_zero_fill_new_components(self, version, added):
+        with open(FIXTURE.format(version)) as f:
             doc = json.load(f)
-        assert "sanitizer" not in doc["components"]
+        assert added not in doc["components"]
         merged = merge_profiles([doc, json.loads(json.dumps(doc))])
         validate_profile(merged)
-        san = merged["components"]["sanitizer"]
-        assert san["warps_watched"] == 0
+        section = dict(merged["components"][added])
+        section.pop("series", None)
+        assert set(section.values()) == {0}
+        assert merged == merge_profiles([upgrade_profile(doc)] * 2)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -109,12 +121,12 @@ class TestMerge:
 
 class TestRunSectionValidation:
     def test_run_requires_v4(self):
-        with open(V2_FIXTURE) as f:
+        with open(FIXTURE.format(2)) as f:
             doc = json.load(f)
         doc["run"] = {"workers": {"count": 1, "jobs": 1, "points": 1,
                                   "launches": 1, "errors": 0}}
         with pytest.raises(ValueError, match="version"):
-            validate_profile(doc)
+            upgrade_profile(doc)
 
     def test_missing_worker_keys_rejected(self, launch_docs):
         merged = merge_profiles(launch_docs)

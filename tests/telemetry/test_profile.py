@@ -12,6 +12,7 @@ from repro.telemetry import (
     Profiler,
     capture,
     hooks,
+    upgrade_profile,
     validate_profile,
 )
 from repro.workloads import run_memcpy
@@ -79,16 +80,29 @@ class TestLaunchProfileSchema:
                 validate_profile(broken)
 
 
-class TestSchemaVersioning:
-    FIXTURE = "tests/telemetry/fixtures/profile-v2.json"
-    FIXTURE_V5 = "tests/telemetry/fixtures/profile-v5.json"
-    FIXTURE_V6 = "tests/telemetry/fixtures/profile-v6.json"
-    FIXTURE_V7 = "tests/telemetry/fixtures/profile-v7.json"
+FIXTURE = "tests/telemetry/fixtures/profile-v{}.json"
 
+#: Component sections each archived fixture predates: upgrade_profile
+#: must zero-fill exactly these.
+ADDED_SINCE = {
+    2: ("sanitizer", "attribution", "timeseries", "syscalls", "spans"),
+    5: ("timeseries", "syscalls", "spans"),
+    6: ("syscalls", "spans"),
+    7: ("spans",),
+}
+
+
+def _fixture(version):
+    with open(FIXTURE.format(version)) as f:
+        return json.load(f)
+
+
+class TestSchemaVersioning:
     def test_live_profiles_are_current_version(self, memcpy_profile):
         from repro.telemetry.profile import SCHEMA_VERSION
         doc = memcpy_profile.profiles[0].to_dict()
         assert doc["version"] == SCHEMA_VERSION == 8
+        assert upgrade_profile(doc) is doc
 
     def test_v5_requires_attribution_component(self, memcpy_profile):
         doc = memcpy_profile.profiles[0].to_dict()
@@ -104,12 +118,14 @@ class TestSchemaVersioning:
 
     def test_v4_document_without_attribution_still_validates(
             self, memcpy_profile):
-        # v4 predates components.attribution; dropping the section and
-        # restamping must keep loading (ACCEPTED_VERSIONS covers 2-5).
+        # v4 predates components.attribution: the upgrade zero-fills it.
         doc = json.loads(json.dumps(memcpy_profile.profiles[0].to_dict()))
         doc["version"] = 4
         doc["components"].pop("attribution")
-        validate_profile(doc)
+        upgraded = upgrade_profile(doc)
+        validate_profile(upgraded)
+        assert set(upgraded["components"]["attribution"].values()) == {0}
+        assert "attribution" not in doc["components"]
 
     def test_v3_requires_sanitizer_component(self, memcpy_profile):
         doc = memcpy_profile.profiles[0].to_dict()
@@ -122,23 +138,64 @@ class TestSchemaVersioning:
         with pytest.raises(ValueError):
             validate_profile(broken)
 
+    @staticmethod
+    def _check_upgrade(version):
+        """An archived fixture is refused as it is, and validates once
+        upgraded: stamped v8, the sections it predates all zero, the
+        input untouched."""
+        doc = _fixture(version)
+        before = json.loads(json.dumps(doc))
+        assert doc["version"] == version
+        with pytest.raises(ValueError, match="upgrade_profile"):
+            validate_profile(doc)
+        upgraded = upgrade_profile(doc)
+        validate_profile(upgraded)
+        assert upgraded["version"] == 8
+        for kind in ADDED_SINCE[version]:
+            assert kind not in doc["components"]
+            section = dict(upgraded["components"][kind])
+            if kind == "timeseries":
+                assert section.pop("series") == []
+            assert set(section.values()) == {0}, kind
+        assert doc == before
+
+    @staticmethod
+    def _claim(version, claimed):
+        """The fixture stamped with a newer version than it satisfies,
+        run through the upgrade and the validator."""
+        doc = _fixture(version)
+        doc["version"] = claimed
+        validate_profile(upgrade_profile(doc))
+
     def test_archived_v2_profile_still_validates(self):
-        # Regression gate for the v2 -> v3 bump: profiles written
-        # before the sanitizer component existed must keep loading.
-        with open(self.FIXTURE) as f:
-            doc = json.load(f)
-        assert doc["version"] == 2
-        assert "sanitizer" not in doc["components"]
-        validate_profile(doc)
+        self._check_upgrade(2)
 
     def test_v2_document_claiming_v3_is_rejected(self):
-        # The fixture lacks components.sanitizer, so stamping it as v3
-        # must fail: version gating is real, not cosmetic.
-        with open(self.FIXTURE) as f:
-            doc = json.load(f)
-        doc["version"] = 3
+        # The fixture lacks components.sanitizer, and the upgrade of a
+        # v3 document does not fill it: version gating is real.
         with pytest.raises(ValueError, match="sanitizer"):
-            validate_profile(doc)
+            self._claim(2, 3)
+
+    def test_archived_v5_profile_still_validates(self):
+        self._check_upgrade(5)
+
+    def test_v5_document_claiming_v6_is_rejected(self):
+        with pytest.raises(ValueError, match="timeseries"):
+            self._claim(5, 6)
+
+    def test_archived_v6_profile_still_validates(self):
+        self._check_upgrade(6)
+
+    def test_v6_document_claiming_v7_is_rejected(self):
+        with pytest.raises(ValueError, match="syscalls"):
+            self._claim(6, 7)
+
+    def test_archived_v7_profile_still_validates(self):
+        self._check_upgrade(7)
+
+    def test_v7_document_claiming_v8_is_rejected(self):
+        with pytest.raises(ValueError, match="spans"):
+            self._claim(7, 8)
 
     def test_v6_requires_timeseries_component(self, memcpy_profile):
         doc = memcpy_profile.profiles[0].to_dict()
@@ -149,22 +206,6 @@ class TestSchemaVersioning:
         broken["components"].pop("timeseries")
         with pytest.raises(ValueError, match="timeseries"):
             validate_profile(broken)
-
-    def test_archived_v5_profile_still_validates(self):
-        # Regression gate for the v5 -> v6 bump: profiles written
-        # before the timeseries component existed must keep loading.
-        with open(self.FIXTURE_V5) as f:
-            doc = json.load(f)
-        assert doc["version"] == 5
-        assert "timeseries" not in doc["components"]
-        validate_profile(doc)
-
-    def test_v5_document_claiming_v6_is_rejected(self):
-        with open(self.FIXTURE_V5) as f:
-            doc = json.load(f)
-        doc["version"] = 6
-        with pytest.raises(ValueError, match="timeseries"):
-            validate_profile(doc)
 
     def test_v7_requires_syscalls_component(self, memcpy_profile):
         doc = memcpy_profile.profiles[0].to_dict()
@@ -177,22 +218,6 @@ class TestSchemaVersioning:
         with pytest.raises(ValueError, match="syscalls"):
             validate_profile(broken)
 
-    def test_archived_v6_profile_still_validates(self):
-        # Regression gate for the v6 -> v7 bump: profiles written
-        # before the syscalls component existed must keep loading.
-        with open(self.FIXTURE_V6) as f:
-            doc = json.load(f)
-        assert doc["version"] == 6
-        assert "syscalls" not in doc["components"]
-        validate_profile(doc)
-
-    def test_v6_document_claiming_v7_is_rejected(self):
-        with open(self.FIXTURE_V6) as f:
-            doc = json.load(f)
-        doc["version"] = 7
-        with pytest.raises(ValueError, match="syscalls"):
-            validate_profile(doc)
-
     def test_v8_requires_spans_component(self, memcpy_profile):
         doc = memcpy_profile.profiles[0].to_dict()
         spans = doc["components"]["spans"]
@@ -203,29 +228,12 @@ class TestSchemaVersioning:
         with pytest.raises(ValueError, match="spans"):
             validate_profile(broken)
 
-    def test_archived_v7_profile_still_validates(self):
-        # Regression gate for the v7 -> v8 bump: profiles written
-        # before the spans component existed must keep loading.
-        with open(self.FIXTURE_V7) as f:
-            doc = json.load(f)
-        assert doc["version"] == 7
-        assert "spans" not in doc["components"]
-        validate_profile(doc)
-
-    def test_v7_document_claiming_v8_is_rejected(self):
-        with open(self.FIXTURE_V7) as f:
-            doc = json.load(f)
-        doc["version"] = 8
-        with pytest.raises(ValueError, match="spans"):
-            validate_profile(doc)
-
     def test_unknown_versions_rejected(self):
-        with open(self.FIXTURE) as f:
-            doc = json.load(f)
-        for version in (1, 9, "2", None):
+        doc = _fixture(2)
+        for version in (1, 9, "2", None, True):
             doc["version"] = version
             with pytest.raises(ValueError, match="version"):
-                validate_profile(doc)
+                upgrade_profile(doc)
 
 
 class TestEngineInvariants:
