@@ -27,6 +27,14 @@ subgroups of lanes that fault on the same page elect a leader with
 aggregate the reference count with ``__popc``, and the leader alone
 touches shared data structures — which is what makes the handler
 deadlock-free.
+
+The per-lane arrays are the source of truth.  Beside them each pointer
+keeps a :class:`_Summary` of those arrays (position range, alignment,
+linked-lane count and, while every lane is linked, the aphysical
+addresses), so the common warp shapes — an all-linked dereference, an
+increment that stays in the lanes' shared page — cost a few scalar
+tests instead of per-lane scans, as the register-cached translation
+does in hardware.
 """
 
 from __future__ import annotations
@@ -58,6 +66,59 @@ class BoundsError(IndexError):
     """An access fell outside the mapped region."""
 
 
+#: Alignment of a warp whose every position is 0 (any width divides it).
+_ALIGN_ALL = 1 << 62
+
+
+class _Summary:
+    """Scalars derived from an :class:`APtr`'s per-lane arrays.
+
+    ``lo``/``hi`` bound ``pos``; ``align`` is a power of two dividing
+    every position (a lower bound of the exact alignment after a
+    shift); ``nlinked`` counts valid lanes.  While every lane is linked,
+    ``addrs`` holds each lane's aphysical address (``frame_addr`` plus
+    in-page offset) and ``all_write`` whether every link is a write
+    link (``None`` until a write asks); otherwise ``addrs`` is ``None``.
+    """
+
+    __slots__ = ("lo", "hi", "align", "nlinked", "addrs", "all_write")
+
+    def __init__(self, lo: int, hi: int, align: int, nlinked: int,
+                 addrs: Optional[np.ndarray],
+                 all_write: Optional[bool]):
+        self.lo = lo
+        self.hi = hi
+        self.align = align
+        self.nlinked = nlinked
+        self.addrs = addrs
+        self.all_write = all_write
+
+    @classmethod
+    def of(cls, aptr: "APtr") -> "_Summary":
+        """Derive the summary from ``aptr``'s per-lane arrays."""
+        pos = aptr.pos
+        bits = int(np.bitwise_or.reduce(pos))
+        nlinked = int(np.count_nonzero(aptr.valid))
+        linked = nlinked == pos.size
+        return cls(int(pos.min()), int(pos.max()),
+                   bits & -bits if bits else _ALIGN_ALL, nlinked,
+                   aptr.frame_addr + aptr.in_page_vec() if linked else None,
+                   None)
+
+    def shift(self, delta: int) -> None:
+        """Move every lane ``delta`` bytes without changing its page.
+
+        ``addrs`` is replaced, never updated in place: a vector already
+        returned by a dereference stays as it was.
+        """
+        self.lo += delta
+        self.hi += delta
+        if delta:
+            self.align = min(self.align, delta & -delta)
+        if self.addrs is not None:
+            self.addrs = self.addrs + delta
+
+
 class APtr:
     """An active pointer over one mapped region (one per warp)."""
 
@@ -83,6 +144,9 @@ class APtr:
         # write through a read-only link must re-fault (the upgrade
         # fault that lets paging backends observe S->M transitions).
         self.linked_write = np.zeros(n, dtype=bool)
+        # Derived from the arrays above on first use; ``None`` after any
+        # write to them that does not update it (see _Summary).
+        self._sum: Optional[_Summary] = None
         if ctx.sanitizer is not None:
             ctx.sanitizer.register_aptr(ctx, self)
 
@@ -111,14 +175,15 @@ class APtr:
     def encoded_word(self) -> np.ndarray:
         """The packed 64-bit translation field per lane (§IV-A)."""
         perms = tr.perm_bits(self.readable, self.writable)
+        # The aphysical address a dereference loads from: the frame
+        # base plus the lane's in-page offset.
+        aphys = (self.frame_addr + self.in_page_vec()).astype(np.uint64)
         if self.config.fmt is PtrFormat.LONG:
-            addr = np.where(self.valid,
-                            self.frame_addr.astype(np.uint64),
+            addr = np.where(self.valid, aphys,
                             (self.base_offset
                              + self.pos).astype(np.uint64))
             return tr.encode_long(self.valid, perms, addr)
-        return tr.encode_short(self.valid, perms,
-                               self.frame_addr.astype(np.uint64),
+        return tr.encode_short(self.valid, perms, aphys,
                                self.xpage_vec().astype(np.uint64))
 
     def clone(self, ctx: WarpContext) -> "APtr":
@@ -142,10 +207,25 @@ class APtr:
                    chain=cm.arith_chain + cm.fmt_extra_chain,
                    tag="translation")
         self.avm.stats.arith_ops += 1
+        span = self._sum
+        if span is not None and isinstance(delta, (int, np.integer)):
+            # A scalar step that keeps [lo, hi] inside the one page all
+            # lanes share crosses nothing: a valid lane's linked page is
+            # always its current page.
+            delta = int(delta)
+            page, base = self.page_size, self.base_offset
+            first = (base + span.lo) // page
+            if ((base + span.hi) // page == first
+                    and (base + span.lo + delta) // page == first
+                    and (base + span.hi + delta) // page == first):
+                self.pos = self.pos + delta
+                span.shift(delta)
+                return
         new_pos = self.pos + np.asarray(delta, dtype=np.int64)
         new_xpage = (self.base_offset + new_pos) // self.page_size
         crossing = self.valid & (new_xpage != self.linked_xpage)
         self.pos = new_pos
+        self._sum = None
         if crossing.any():
             yield from self._unlink(ctx, crossing)
 
@@ -249,7 +329,7 @@ class APtr:
     def destroy(self, ctx: WarpContext):
         """Timed: drop all references (scope exit in Figure 3)."""
         if self.valid.any():
-            yield from self._unlink(ctx, self.valid.copy())
+            yield from self._unlink(ctx, self.valid)
 
     # ------------------------------------------------------------------
     # Internals
@@ -257,13 +337,30 @@ class APtr:
     def _deref(self, ctx: WarpContext, width: int, write: bool,
                mask: Optional[np.ndarray]):
         active = ctx.active if mask is None else (ctx.active & mask)
-        # Every lane active (the common case): skip the masking copies.
+        # Every lane active (the common case): check the summary's
+        # scalars instead of the lanes, and skip the masking copies.
         every = np.count_nonzero(active) == active.size
         self.avm.stats.derefs += 1
-        self._check_bounds(width, None if every else active)
+        if every:
+            span = self._summary()
+            self._check_bounds(width, span.lo, span.hi, span.align,
+                               self.pos)
+            # Every lane linked, and for a write every link writable:
+            # no upgrade fault and no page fault can follow.
+            linked = span.addrs is not None
+            if linked and write:
+                if span.all_write is None:
+                    span.all_write = bool(self.linked_write.all())
+                linked = span.all_write
+        else:
+            pos = self.pos[active]
+            if pos.size:
+                self._check_bounds(width, int(pos.min()), int(pos.max()),
+                                   1, pos)
+            linked = False
         if write and not self.writable:
             raise ProtectionError("write through a read-only apointer")
-        if write:
+        if write and not linked:
             # Upgrade fault: lanes linked read-only must re-fault so the
             # paging backend sees the write (dirty marking, coherence).
             upgrade = self.valid & ~self.linked_write
@@ -274,43 +371,48 @@ class APtr:
         # Joint valid-bit vote across the warp (one instruction): the
         # fault-free path has no divergent control flow.  Under
         # speculative prefetch the vote overlaps the memory access
-        # (§IV-B), so it adds no serial latency.
-        all_valid = (bool(self.valid.all()) if every
-                     else wp.all_sync(self.valid, active))
+        # (§IV-B), so it adds no serial latency.  With every lane
+        # active the vote passes exactly when the warp is linked: an
+        # unlinked lane, or an upgrade, leaves a lane invalid.
+        all_valid = linked if every else wp.all_sync(self.valid, active)
         prefetching = self.config.variant is ImplVariant.PREFETCH
         ctx.charge(1, chain=0 if prefetching else 1, tag="translation")
         if not all_valid:
             yield from self._page_fault(ctx, active, write)
         elif write:
             self._mark_dirty(active)
-        return self.frame_addr + self.in_page_vec()
+        if linked:
+            return span.addrs
+        addrs = self.frame_addr + self.in_page_vec()
+        if every:
+            # The fault linked every lane, each for a write exactly when
+            # this access writes (the upgrade unlinked any other).
+            self._sum = _Summary(span.lo, span.hi, span.align,
+                                 addrs.size, addrs, write)
+        return addrs
 
     def _page_fault(self, ctx: WarpContext, active: np.ndarray,
                     write: bool):
         """Listing 1: aggregated, leader-driven fault handling."""
         cm = self.cost
-        xpages = self.xpage_vec()
         faulting = (~self.valid) & active
-        self.avm.stats.translation_faults += int(faulting.sum())
+        lanes = np.flatnonzero(faulting)
+        xpages = self.xpage_vec()[lanes]
+        self.avm.stats.translation_faults += int(lanes.size)
+        self._sum = None
         t0 = ctx.now
         ctx.begin_request()
         try:
             ctx.push_activity("translation")
             try:
-                while True:
-                    ballot = wp.ballot(~self.valid, active)
+                # Each round of Listing 1's loop: ballot the faulting
+                # lanes, elect the lowest as leader, broadcast its
+                # page, and link every lane bound for that page.
+                for leader, same in _groups(lanes, xpages):
                     ctx.charge(2)              # __ballot + __ffs
-                    leader = wp.ffs(ballot) - 1
-                    if leader < 0:
-                        break
                     self.avm.stats.fault_groups += 1
-                    # Broadcast the leader's backing-store address;
-                    # lanes bound for the same page are handled
-                    # together.
-                    leader_xpage = int(wp.shfl(xpages, leader)[0])
-                    same = ((~self.valid) & active
-                            & (xpages == leader_xpage))
-                    refs = wp.popc(wp.ballot(same))
+                    leader_xpage = int(xpages[leader])
+                    refs = int(same.size)      # __popc(__ballot(same))
                     ctx.charge(cm.fault_setup_count)
                     frame_addr, via_tlb = yield from self._resolve(
                         ctx, leader_xpage, refs, write)
@@ -318,14 +420,15 @@ class APtr:
                     self.linked_xpage[same] = leader_xpage
                     self.tlb_backed[same] = via_tlb
                     self.linked_write[same] = write
-                    self.valid |= same
+                    self.valid[same] = True
                     ctx.charge(cm.fault_link_count)
                     self.avm.stats.links += refs
+                ctx.charge(2)                  # the final, empty ballot
             finally:
                 ctx.pop_activity()
             if ctx.tracer is not None:
                 ctx.trace_span("translation_fault", t0, ctx.now,
-                               f"lanes={int(faulting.sum())}")
+                               f"lanes={int(lanes.size)}")
         finally:
             ctx.end_request()
         if write:
@@ -363,17 +466,17 @@ class APtr:
 
     def _unlink(self, ctx: WarpContext, mask: np.ndarray):
         """Drop references for ``mask`` lanes, grouped per page and per
-        backing path (TLB-tracked vs. direct)."""
+        backing path (TLB-tracked vs. direct), leaders in lane order."""
         cm = self.cost
-        remaining = mask.copy()
+        lanes = np.flatnonzero(mask)
+        xpages = self.linked_xpage[lanes]
+        backed = self.tlb_backed[lanes]
+        self._sum = None
         tlb = self.avm.tlb_for(ctx)
-        while remaining.any():
-            leader = int(np.argmax(remaining))
-            xpage = int(self.linked_xpage[leader])
-            via_tlb = bool(self.tlb_backed[leader])
-            group = (remaining & (self.linked_xpage == xpage)
-                     & (self.tlb_backed == via_tlb))
-            refs = int(group.sum())
+        for leader, group in _groups(lanes, xpages * 2 + backed):
+            xpage = int(xpages[leader])
+            via_tlb = bool(backed[leader])
+            refs = int(group.size)
             ctx.charge(cm.fault_setup_count, tag="translation")
             if via_tlb and tlb is not None:
                 found = yield from tlb.unref(
@@ -383,11 +486,10 @@ class APtr:
                         "TLB-backed lane lost its TLB entry")
             else:
                 yield from self.backend.release(ctx, xpage, refs)
-            self.valid &= ~group
-            self.tlb_backed &= ~group
-            self.linked_write &= ~group
+            self.valid[group] = False
+            self.tlb_backed[group] = False
+            self.linked_write[group] = False
             self.avm.stats.unlinks += refs
-            remaining &= ~group
 
     def _mark_dirty(self, active: np.ndarray) -> None:
         backend = self.backend
@@ -399,15 +501,17 @@ class APtr:
             if entry is not None:
                 entry.dirty = True
 
-    def _check_bounds(self, width: int,
-                      active: Optional[np.ndarray]) -> None:
+    def _summary(self) -> _Summary:
+        if self._sum is None:
+            self._sum = _Summary.of(self)
+        return self._sum
+
+    def _check_bounds(self, width: int, lo: int, hi: int, align: int,
+                      pos: np.ndarray) -> None:
         """Reject an access outside the mapping, not ``width``-aligned
-        in its page, or running past the page's end.  ``active=None``
-        means every lane."""
-        pos = self.pos if active is None else self.pos[active]
-        if pos.size == 0:
-            return
-        lo, hi = int(pos.min()), int(pos.max())
+        in its page, or running past the page's end.  ``pos`` are the
+        accessing lanes' positions, ``lo``/``hi`` their extremes and
+        ``align`` a power of two dividing all of them."""
         if lo < 0 or hi + width > self.size:
             raise BoundsError(
                 f"access at [{lo}, {hi} + {width}) outside "
@@ -417,7 +521,8 @@ class APtr:
                 and self.base_offset % width == 0):
             # A power-of-two width dividing the page: alignment alone
             # rules out straddling, and lanes align with their position.
-            misaligned = int(np.bitwise_or.reduce(pos)) & (width - 1)
+            misaligned = (align < width
+                          and int(np.bitwise_or.reduce(pos)) & (width - 1))
             end = 0
         else:
             in_page = (self.base_offset + pos) % page
@@ -431,3 +536,22 @@ class APtr:
             raise BoundsError(
                 f"{width}-byte access at in-page offset {end - width} "
                 f"runs past the end of its {page}-byte page")
+
+
+def _groups(lanes: np.ndarray, keys: np.ndarray):
+    """Listing 1's subgroups, computed once: ``(leader, members)`` per
+    distinct key, leaders in lane order.
+
+    ``keys[i]`` belongs to lane ``lanes[i]``; ``leader`` indexes
+    ``keys`` and ``members`` holds lane numbers.  Electing the lowest
+    remaining lane round after round, as the ballot loop does, visits
+    the distinct keys in order of first occurrence — the order here.
+    """
+    if not lanes.size:
+        return []
+    if keys.min() == keys.max():
+        return [(0, lanes)]
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    return [(int(first[g]), lanes[inverse == g])
+            for g in np.argsort(first)]

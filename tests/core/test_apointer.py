@@ -337,6 +337,59 @@ class TestEncodedWord:
             valid = (word & tr.VALID_BIT) != 0
             assert valid.all() == (label == "linked")
 
+    def test_long_word_decodes_to_load_and_backing_addresses(self, device,
+                                                             gpufs):
+        """Linked lanes encode the address the dereference loads from
+        (frame base plus in-page offset); unlinked lanes encode their
+        backing-store position ``base_offset + pos``."""
+        from repro.core import translation as tr
+        avm = make_avm(gpufs, fmt=PtrFormat.LONG)
+        fid = gpufs.open("data")
+        words = []
+
+        def kern(ctx):
+            ptr = avm.gvmmap(ctx, 8 * PAGE, fid, foffset=PAGE)
+            yield from ptr.seek(ctx, PAGE + 4 * ctx.lane)
+            words.append(ptr.encoded_word())
+            yield from ptr.read(ctx, "u4")
+            words.append(ptr.encoded_word())
+            yield from ptr.destroy(ctx)
+
+        launch(device, kern)
+        offsets = 4 * np.arange(32)
+        valid, addr = tr.decode_long(words[0])
+        assert not valid.any()
+        assert np.array_equal(addr, 2 * PAGE + offsets)
+        frame = gpufs.cache.frame_addr(gpufs.cache.table.get(fid, 2).frame)
+        valid, addr = tr.decode_long(words[1])
+        assert valid.all()
+        assert np.array_equal(addr, frame + offsets)
+
+    def test_short_word_keeps_in_page_offset_and_xpage(self, device,
+                                                       gpufs):
+        from repro.core import translation as tr
+        avm = make_avm(gpufs, fmt=PtrFormat.SHORT)
+        fid = gpufs.open("data")
+        words = []
+
+        def kern(ctx):
+            ptr = avm.gvmmap(ctx, 8 * PAGE, fid, foffset=PAGE)
+            yield from ptr.seek(ctx, PAGE + 4 * ctx.lane)
+            words.append(ptr.encoded_word())
+            yield from ptr.read(ctx, "u4")
+            words.append(ptr.encoded_word())
+            yield from ptr.destroy(ctx)
+
+        launch(device, kern)
+        offsets = 4 * np.arange(32)
+        frame = gpufs.cache.frame_addr(gpufs.cache.table.get(fid, 2).frame)
+        for word, linked in zip(words, (False, True)):
+            valid, aphys, xpage = tr.decode_short(word)
+            assert valid.all() == linked
+            assert np.array_equal(aphys % PAGE, offsets)
+            assert np.all(xpage == 2)
+        assert np.array_equal(aphys, frame + offsets)
+
     def test_short_format_costs_more_instructions(self):
         from repro.core.calibration import cost_model_for
         long_cm = cost_model_for(APConfig(fmt=PtrFormat.LONG))
