@@ -19,7 +19,7 @@ scientific payload is in ``extra_info`` and in the assertions.
 
 import json
 
-from repro.harness.experiments import ALL_EXPERIMENTS  # noqa: F401
+import repro.harness.experiments  # noqa: F401  (populates REGISTRY)
 from repro.harness.registry import REGISTRY, Experiment
 from repro.harness.runner import ExperimentPointError
 from repro.harness.runner import run_experiment as _run_points
@@ -40,19 +40,17 @@ def pytest_configure(config):
 
 
 def _resolve(experiment):
-    """Experiment id, descriptor, or tagged callable -> descriptor."""
-    if isinstance(experiment, str):
-        return REGISTRY[experiment]
+    """Experiment id or descriptor -> descriptor."""
     if isinstance(experiment, Experiment):
         return experiment
-    return experiment.experiment
+    return REGISTRY[experiment]
 
 
 def run_experiment(benchmark, experiment, **kwargs):
     """Time one experiment run and attach its rows to the report.
 
-    ``experiment`` is a registry id (``"table1"``), an
-    :class:`Experiment`, or an ``ALL_EXPERIMENTS`` callable.  Runs
+    ``experiment`` is a registry id (``"table1"``) or an
+    :class:`Experiment`.  Runs
     honour the suite-wide ``--jobs`` option; a crashed grid point
     raises (a benchmark must not silently bless partial results).
     """

@@ -51,10 +51,10 @@ class LaunchResult:
     #: Populated when a profiler observed the launch (explicitly passed
     #: or ambient via ``repro.telemetry.capture``).
     profile: Optional[Any] = None
-    #: Merged execution trace of a sharded cluster launch
-    #: (:func:`repro.gpu.sharded.launch_cluster_sharded` with tracing
-    #: on); ``None`` elsewhere — single-device launches hand the tracer
-    #: back to its owner instead.
+    #: Merged execution trace of a cluster launch
+    #: (:func:`repro.gpu.multigpu.launch_cluster` with tracing on);
+    #: ``None`` elsewhere — single-device launches hand the tracer back
+    #: to its owner instead.
     tracer: Optional[Any] = None
     #: Merged ``components.timeseries`` section of a sharded cluster
     #: launch with sampling on; ``None`` elsewhere.
@@ -159,7 +159,7 @@ class Device:
         if san is not None:
             san.begin_launch()
         engine = Engine(spec, occ.blocks_per_sm, hooks=hooks)
-        cycles = engine.launch(LaunchPlan.single(
+        cycles = engine.launch(LaunchPlan(
             [make_block(b) for b in range(cfg.grid)]))
         self.total_cycles += cycles
         self.launches += 1

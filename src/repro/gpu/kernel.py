@@ -60,8 +60,6 @@ class BlockContext:
     # I/O preemption bookkeeping (§VII what-if).
     io_stalled: int = 0
     preempted: bool = False
-    # Which device this block runs on (multi-GPU co-simulation).
-    device_index: int = 0
 
 
 class WarpContext:
@@ -141,9 +139,11 @@ class WarpContext:
         """Open a causal request scope (pair with :meth:`end_request`,
         ideally via ``try/finally``).
 
-        At the outermost entry a request id ``"<device>:<warp>:<seq>"``
-        is minted from simulated state only — deterministic across
-        reruns and across ``jobs=1``/``jobs=N`` sharding.  Nested
+        At the outermost entry a request id ``"0:<warp>:<seq>"`` is
+        minted from simulated state only — deterministic across reruns
+        and across ``jobs=1``/``jobs=N`` sharding.  The leading device
+        field is 0 because an engine runs one device; a sharded cluster
+        merge rebases it to the shard index.  Nested
         begins (a syscall whose page loop faults, a fault whose
         handler issues readahead) reuse the outer id, so every span a
         warp records until the matching end shares one request.  No-op
@@ -152,8 +152,7 @@ class WarpContext:
         if self.tracer is None:
             return
         if self._request_depth == 0:
-            self._request_id = (f"{self.block.device_index}:"
-                                f"{self.warp_id}:{self._request_seq}")
+            self._request_id = f"0:{self.warp_id}:{self._request_seq}"
             self._request_seq += 1
         self._request_depth += 1
 

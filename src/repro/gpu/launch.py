@@ -10,9 +10,9 @@ the engine's constructor and entry points accumulated PR over PR:
   ``Device.launch(..., hooks=...)``).  Instrumented and uninstrumented
   launches are cycle-bit-identical; the engine only ever tests each
   hook against ``None``.
-* :class:`LaunchPlan` describes *what* to run: one list of block
-  factories per device, the resident-blocks-per-SM occupancy, and the
-  hooks.  ``Engine.launch(plan)`` is the single entry point.
+* :class:`LaunchPlan` describes *what* to run on one device: its block
+  factories, the resident-blocks-per-SM occupancy, and the hooks.
+  ``Engine.launch(plan)`` is the single entry point.
 
 Neither class imports the engine, so they are cheap to construct and
 safe to build in caller modules without circular imports.
@@ -49,57 +49,21 @@ class EngineHooks:
     sampler: Any = None
     sanitizer: Any = None
 
-    @property
-    def null(self) -> bool:
-        """True when no hook is attached (the zero-cost fast path)."""
-        return (self.tracer is None and self.profile is None
-                and self.sampler is None and self.sanitizer is None)
-
-
-#: Shared immutable-by-convention null bundle for uninstrumented runs.
-NULL_HOOKS = EngineHooks()
-
 
 @dataclass
 class LaunchPlan:
     """What one engine launch executes.
 
-    ``groups`` holds one list of block factories per device (device *d*
-    runs ``groups[d]`` on its own SMs and DRAM); a single-device launch
-    uses :meth:`LaunchPlan.single`.  Each factory is a zero-argument
-    callable returning ``(BlockContext, [warp generators])``.
-
-    ``blocks_per_sm`` (the occupancy-derived resident-block limit) and
-    ``hooks`` override the engine's constructor defaults when set.
+    ``factories`` lists the device's block factories in launch order;
+    each is a zero-argument callable returning ``(BlockContext, [warp
+    generators])``.  ``blocks_per_sm`` (the occupancy-derived
+    resident-block limit) and ``hooks`` override the engine's
+    constructor defaults when set.
     """
 
-    groups: Sequence[Sequence[Callable]]
+    factories: Sequence[Callable]
     blocks_per_sm: Optional[int] = None
     hooks: Optional[EngineHooks] = field(default=None, repr=False)
 
-    def __post_init__(self):
-        if callable(self.groups):
-            raise TypeError(
-                "LaunchPlan.groups must be a per-device list of block "
-                "factory lists, not a callable")
-        for group in self.groups:
-            if callable(group):
-                raise TypeError(
-                    "LaunchPlan.groups is nested — one factory list "
-                    "per device; for a single device use "
-                    "LaunchPlan.single(factories)")
 
-    @classmethod
-    def single(cls, factories: Sequence[Callable],
-               blocks_per_sm: Optional[int] = None,
-               hooks: Optional[EngineHooks] = None) -> "LaunchPlan":
-        """Plan a one-device launch from a flat factory list."""
-        return cls(groups=[list(factories)], blocks_per_sm=blocks_per_sm,
-                   hooks=hooks)
-
-    @property
-    def num_groups(self) -> int:
-        return len(self.groups)
-
-
-__all__ = ["EngineHooks", "LaunchPlan", "NULL_HOOKS"]
+__all__ = ["EngineHooks", "LaunchPlan"]

@@ -7,12 +7,11 @@ module-level point function — executed by the parallel runner
 ``repro-experiments`` (:mod:`repro.harness.cli`) runs them and renders
 text tables next to the paper's published values.
 
-The pre-registry one-function-per-figure API (``table1()``, ...) was
-removed after its deprecation cycle; use ``REGISTRY``/``run_experiment``
-(or the serial ``ALL_EXPERIMENTS`` callables) instead.
+Look experiments up in ``REGISTRY`` and run them with
+``run_experiment`` (or by id with ``run_named``).
 """
 
-from repro.harness.experiments import ALL_EXPERIMENTS
+import repro.harness.experiments  # noqa: F401  (populates REGISTRY)
 from repro.harness.registry import (
     REGISTRY,
     Column,
@@ -31,7 +30,6 @@ from repro.harness.runner import (
 )
 
 __all__ = [
-    "ALL_EXPERIMENTS",
     "Column",
     "Experiment",
     "ExperimentPointError",

@@ -49,7 +49,8 @@ import os
 import sys
 import time
 
-from repro.harness.experiments import ALL_EXPERIMENTS
+from repro.harness.experiments import _EXPERIMENT_ORDER
+from repro.harness.registry import REGISTRY
 from repro.harness.reporting import (
     format_markdown,
     format_profile,
@@ -130,17 +131,17 @@ def main(argv=None) -> int:
                      "--live-dir (streaming files)")
 
     if args.list:
-        for name in ALL_EXPERIMENTS:
+        for name in _EXPERIMENT_ORDER:
             print(name)
         return 0
 
-    names = list(ALL_EXPERIMENTS) if args.all else args.experiments
+    names = list(_EXPERIMENT_ORDER) if args.all else args.experiments
     if not names:
         parser.print_usage()
         print("error: give experiment ids, or --all / --list",
               file=sys.stderr)
         return 2
-    unknown = [n for n in names if n not in ALL_EXPERIMENTS]
+    unknown = [n for n in names if n not in REGISTRY]
     if unknown:
         print(f"error: unknown experiments {unknown}; see --list",
               file=sys.stderr)
@@ -156,7 +157,7 @@ def main(argv=None) -> int:
     try:
         for name in names:
             started = time.time()
-            exp = ALL_EXPERIMENTS[name].experiment
+            exp = REGISTRY[name]
             live = None
             if args.live_dir or args.timeseries:
                 live = LiveOptions(

@@ -10,17 +10,15 @@ Each experiment is three module-level pieces — a parameter ``grid``
 (closer to the paper's sweep sizes).  Paper values are embedded
 alongside measured ones so reports always show the comparison.
 
-The legacy one-function-per-figure API (``table1()``, ``figure6()``,
-...) was removed after its deprecation cycle; go through
-:data:`~repro.harness.registry.REGISTRY` and
-:func:`repro.harness.runner.run_experiment`, which can fan the grid
-points out across worker processes (``repro-experiments --jobs``), or
-the serial ``ALL_EXPERIMENTS`` callables.
+Run an entry through :data:`~repro.harness.registry.REGISTRY` and
+:func:`repro.harness.runner.run_experiment` (or
+:func:`~repro.harness.runner.run_named`), which can fan the grid
+points out across worker processes (``repro-experiments --jobs``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.collage import (
     CollageDataset,
@@ -35,7 +33,6 @@ from repro.collage import (
 from repro.core import APConfig, AVM, ImplVariant, PtrFormat
 from repro.gpu import Device
 from repro.harness.registry import (
-    REGISTRY,
     Column,
     ExperimentResult,
     experiment,
@@ -1133,37 +1130,8 @@ def syscall_graphwalk_point(*, scale: str, tlb: bool) -> list:
     }]
 
 
-# ----------------------------------------------------------------------
-# Registry-backed callables (the per-table/figure wrapper functions of
-# the pre-registry harness were removed after their deprecation cycle;
-# use REGISTRY / ALL_EXPERIMENTS with the parallel runner instead)
-# ----------------------------------------------------------------------
-def _run_registered(name: str, scale: str,
-                    options: Optional[dict] = None) -> ExperimentResult:
-    """Serial, fail-fast execution of one registry entry (what the
-    ``ALL_EXPERIMENTS`` callables delegate to)."""
-    from repro.harness.runner import ExperimentPointError, run_experiment
-    report = run_experiment(REGISTRY[name], scale=scale,
-                            options=options, progress=False)
-    if report.result.errors:
-        raise ExperimentPointError(name, report.result.errors)
-    return report.result
-
-
-def _registry_callable(name: str) -> Callable[..., ExperimentResult]:
-    """A non-deprecated serial callable for ``ALL_EXPERIMENTS`` —
-    carries its descriptor as ``.experiment`` so the CLI and benchmark
-    helpers can route it through the parallel runner instead."""
-    def run(scale: str = "quick", **options) -> ExperimentResult:
-        return _run_registered(name, scale, options or None)
-    run.__name__ = name
-    run.__qualname__ = name
-    run.__doc__ = REGISTRY[name].title
-    run.experiment = REGISTRY[name]
-    return run
-
-
-#: CLI listing order (kept from the pre-registry harness).
+#: CLI listing order (kept from the pre-registry harness; it differs
+#: from the registry's insertion order).
 _EXPERIMENT_ORDER = (
     "table1", "table2", "table3", "figure6a", "figure6b", "figure6c",
     "figure7", "figure9", "unaligned", "ablation_prefetch",
@@ -1172,9 +1140,3 @@ _EXPERIMENT_ORDER = (
     "ablation_io_preemption",
     "syscall_kvstore", "syscall_grepscan", "syscall_graphwalk",
 )
-
-#: Name -> callable view of the registry (kept for compatibility with
-#: pre-registry callers; the CLI uses the ``.experiment`` descriptors).
-ALL_EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
-    name: _registry_callable(name) for name in _EXPERIMENT_ORDER
-}

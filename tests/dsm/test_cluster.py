@@ -11,10 +11,14 @@ from repro.dsm.directory import PageState
 PAGE = 4096
 
 
-@pytest.fixture
-def cluster():
+def make_cluster():
     return DSMCluster(num_devices=2, region_bytes=8 * PAGE,
                       frames_per_device=16)
+
+
+@pytest.fixture
+def cluster():
+    return make_cluster()
 
 
 def run_on(cluster, dev, body):
@@ -29,6 +33,55 @@ def run_on(cluster, dev, body):
         yield from ptr.destroy(ctx)
 
     return cluster.devices[dev].launch(kern, grid=1, block_threads=32)
+
+
+def run_producer_consumer(cluster):
+    """Device 0 dirties pages 0-3, then device 0 writes pages 4-7 while
+    device 1 concurrently reads pages 0-3.  Returns the cluster launch
+    result and the values device 1 read, one array per page."""
+    from repro.gpu.multigpu import ClusterLaunch, launch_cluster
+
+    # Phase 1: device 0 writes pages 0-3 (left dirty in its cache).
+    avm0 = AVM(APConfig())
+    b0 = cluster.backend_for(0)
+
+    def writer(ctx):
+        ptr = avm0.map_backend(ctx, b0, cluster.region_bytes,
+                               write=True)
+        for p in range(4):
+            yield from ptr.seek(ctx, p * PAGE + ctx.lane * 4)
+            yield from ptr.write(ctx, np.full(32, 99, np.uint32), "u4")
+        yield from ptr.destroy(ctx)
+
+    cluster.devices[0].launch(writer, grid=1, block_threads=32)
+
+    # Phase 2 (concurrent): device 0 computes on pages 4-7 while device
+    # 1 reads pages 0-3, forcing flushes of device 0's dirty copies
+    # mid-run.
+    seen = []
+    avm1 = AVM(APConfig())
+    b1 = cluster.backend_for(1)
+
+    def reader(ctx):
+        ptr = avm1.map_backend(ctx, b1, cluster.region_bytes)
+        for p in range(4):
+            yield from ptr.seek(ctx, p * PAGE + ctx.lane * 4)
+            seen.append((yield from ptr.read(ctx, "u4")).copy())
+        yield from ptr.destroy(ctx)
+
+    def busy(ctx):
+        ptr = avm0.map_backend(ctx, b0, cluster.region_bytes,
+                               write=True)
+        for p in range(4, 8):
+            yield from ptr.seek(ctx, p * PAGE + ctx.lane * 4)
+            yield from ptr.write(ctx, np.full(32, 7, np.uint32), "u4")
+        yield from ptr.destroy(ctx)
+
+    result = launch_cluster([
+        ClusterLaunch(cluster.devices[0], busy, 1, 32),
+        ClusterLaunch(cluster.devices[1], reader, 1, 32),
+    ])
+    return result, seen
 
 
 class TestBasicSharing:
@@ -221,50 +274,7 @@ class TestConcurrent:
         """One device reads pages the other wrote in an earlier phase
         while both are running — the read-fault flush path under true
         concurrency."""
-        from repro.gpu.multigpu import ClusterLaunch, launch_cluster
-
-        # Phase 1: device 0 writes pages 0-3 (left dirty in its cache).
-        avm0 = AVM(APConfig())
-        b0 = cluster.backend_for(0)
-
-        def writer(ctx):
-            ptr = avm0.map_backend(ctx, b0, cluster.region_bytes,
-                                   write=True)
-            for p in range(4):
-                yield from ptr.seek(ctx, p * PAGE + ctx.lane * 4)
-                yield from ptr.write(ctx, np.full(32, 99, np.uint32),
-                                     "u4")
-            yield from ptr.destroy(ctx)
-
-        cluster.devices[0].launch(writer, grid=1, block_threads=32)
-
-        # Phase 2 (concurrent): device 0 computes on pages 4-7 while
-        # device 1 reads pages 0-3, forcing flushes of device 0's dirty
-        # copies mid-run.
-        seen = []
-        avm1 = AVM(APConfig())
-        b1 = cluster.backend_for(1)
-
-        def reader(ctx):
-            ptr = avm1.map_backend(ctx, b1, cluster.region_bytes)
-            for p in range(4):
-                yield from ptr.seek(ctx, p * PAGE + ctx.lane * 4)
-                seen.append((yield from ptr.read(ctx, "u4")).copy())
-            yield from ptr.destroy(ctx)
-
-        def busy(ctx):
-            ptr = avm0.map_backend(ctx, b0, cluster.region_bytes,
-                                   write=True)
-            for p in range(4, 8):
-                yield from ptr.seek(ctx, p * PAGE + ctx.lane * 4)
-                yield from ptr.write(ctx, np.full(32, 7, np.uint32),
-                                     "u4")
-            yield from ptr.destroy(ctx)
-
-        launch_cluster([
-            ClusterLaunch(cluster.devices[0], busy, 1, 32),
-            ClusterLaunch(cluster.devices[1], reader, 1, 32),
-        ])
+        _, seen = run_producer_consumer(cluster)
         for vals in seen:
             assert np.all(vals == 99)
         assert cluster.stats.flushes >= 4

@@ -10,9 +10,14 @@ If a change is *meant* to move simulated time (a new timing rule, a
 recalibrated spec), re-record the values and say so in the change log.
 """
 
+import hashlib
+from dataclasses import asdict, fields
+
 import pytest
 
 from repro.gpu import Device, K80_SPEC
+from repro.gpu.engine import EngineStats
+from repro.gpu.multigpu import ClusterLaunch, launch_cluster
 from repro.telemetry import capture
 from repro.workloads import (
     WORKLOADS,
@@ -21,6 +26,8 @@ from repro.workloads import (
     run_kvstore,
 )
 from repro.workloads.base import run_workload
+from tests.dsm.test_cluster import make_cluster, run_producer_consumer
+from tests.gpu.test_sharded import make_devices, rpc_kernel, writer_kernel
 
 #: ``(cycles, instructions, dram_bytes)`` per §VI-B workload, at the
 #: parameters of :func:`_run_suite_workload`.
@@ -129,3 +136,87 @@ def test_contended_kernel_golden():
     assert (stats.instructions, stats.dram_bytes) == (1008.0, 6144)
     assert (stats.loads, stats.atomics, stats.barriers) == (48, 16, 16)
     assert stats.issue_busy == 283.2684824902725
+
+
+#: Integer-valued :class:`EngineStats` fields: they must not move with
+#: the float accumulation order of the busy-time sums.
+_INT_STATS = tuple(f.name for f in fields(EngineStats) if f.type == "int")
+
+
+def _digest(*buffers) -> str:
+    h = hashlib.sha256()
+    for buf in buffers:
+        h.update(bytes(buf))
+    return h.hexdigest()[:16]
+
+
+def _cluster_pins(result, digest):
+    stats = result.stats
+    counters = {name: getattr(stats, name) for name in _INT_STATS}
+    counters["instructions"] = stats.instructions
+    return result.cycles, counters, digest
+
+
+def _host_free_cluster():
+    devices = make_devices(2)
+    result = launch_cluster([
+        ClusterLaunch(d, writer_kernel, 2, 64, args=(d.alloc(4096), i + 1))
+        for i, d in enumerate(devices)])
+    return _cluster_pins(result, _digest(*(d.memory.data for d in devices)))
+
+
+def _rpc_cluster():
+    devices = make_devices(3)
+    result = launch_cluster([
+        ClusterLaunch(d, rpc_kernel, 4, 128, args=(d.alloc(4096),))
+        for d in devices])
+    return _cluster_pins(result, _digest(*(d.memory.data for d in devices)))
+
+
+def _dsm_cluster():
+    cluster = make_cluster()
+    result, seen = run_producer_consumer(cluster)
+    pins = _cluster_pins(result, _digest(cluster.region_array(), *seen))
+    return pins + (asdict(cluster.stats),)
+
+
+CLUSTER_RUNS = {
+    "host_free": _host_free_cluster,
+    "rpc": _rpc_cluster,
+    "dsm": _dsm_cluster,
+}
+
+#: ``(cycles, integer counters, memory digest[, DSM stats])`` per cluster.
+CLUSTER_GOLDEN = {
+    "host_free": (
+        132.10203199308256,
+        {"dram_bytes": 1024, "dram_transactions": 8, "loads": 0,
+         "stores": 8, "atomics": 0, "barriers": 0,
+         "lock_acquisitions": 0, "lock_contentions": 0, "pcie_bytes": 0,
+         "pcie_transactions": 0, "preemptions": 0,
+         "instructions": 808.0},
+        "3e6593fc406107de"),
+    "rpc": (
+        126104.0,
+        {"dram_bytes": 6144, "dram_transactions": 48, "loads": 0,
+         "stores": 48, "atomics": 0, "barriers": 0,
+         "lock_acquisitions": 0, "lock_contentions": 0, "pcie_bytes": 0,
+         "pcie_transactions": 0, "preemptions": 0,
+         "instructions": 12048.0},
+        "0b5bdd19bdb3712a"),
+    "dsm": (
+        122741.73333333322,
+        {"dram_bytes": 70656, "dram_transactions": 552, "loads": 156,
+         "stores": 140, "atomics": 16, "barriers": 0,
+         "lock_acquisitions": 8, "lock_contentions": 0,
+         "pcie_bytes": 49152, "pcie_transactions": 12, "preemptions": 0,
+         "instructions": 5432.0},
+        "9011fb468bbc7409",
+        {"read_faults": 4, "write_faults": 8, "flushes": 4,
+         "invalidations": 0}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLUSTER_RUNS))
+def test_cluster_golden(name):
+    assert CLUSTER_RUNS[name]() == CLUSTER_GOLDEN[name]

@@ -12,8 +12,16 @@ def make_devices(n=2):
             for _ in range(n)]
 
 
+#: Synthetic instruction counts — arbitrary but named so the
+#: calibration linter can audit that they are deliberate test loads,
+#: not drifted hardware estimates.
+LONG_BLOCK = 2000
+LONG_CHAIN = 60
+SHORT_BLOCK = 100
+
+
 def compute_kernel(ctx, out):
-    yield from ctx.compute(2000, chain=60)
+    yield from ctx.compute(LONG_BLOCK, chain=LONG_CHAIN)
     out.append(ctx.warp_id)
 
 
@@ -97,7 +105,7 @@ class TestClusterLaunch:
         d0, d1 = make_devices()
 
         def short(ctx):
-            yield from ctx.compute(100)
+            yield from ctx.compute(SHORT_BLOCK)
 
         long_solo = d1.launch(compute_kernel, grid=26, block_threads=1024,
                               args=([],))

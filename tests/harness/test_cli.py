@@ -6,8 +6,7 @@ import os
 import pytest
 
 from repro.harness import cli
-from repro.harness.experiments import ALL_EXPERIMENTS
-from repro.harness.registry import Column, Experiment
+from repro.harness.registry import REGISTRY, Column, Experiment
 from repro.telemetry import validate_profile
 
 
@@ -18,13 +17,10 @@ def _boom_grid(scale):
 def _install_boom(monkeypatch):
     """Make ``table1`` an experiment whose run raises from inside
     ``run_experiment`` (its grid fails before any point runs)."""
-    def run(scale="quick", **options):
-        raise AssertionError("CLI must use the runner path")
-    run.experiment = Experiment(
+    monkeypatch.setitem(REGISTRY, "table1", Experiment(
         name="boom", title="grid raises",
         columns=(Column("value", role="param"),),
-        point=lambda *, scale, value: [], grid=_boom_grid)
-    monkeypatch.setitem(ALL_EXPERIMENTS, "table1", run)
+        point=lambda *, scale, value: [], grid=_boom_grid))
 
 
 class TestMarkdownOutput:
