@@ -104,8 +104,6 @@ class Device:
         if not occ.is_schedulable:
             raise ValueError(
                 f"kernel cannot be scheduled: {occ.limiting_factor}")
-        warps_per_block = -(-cfg.block_threads // spec.warp_size)
-
         if hooks is not None:
             # Caller supplied a pre-assembled instrumentation bundle.
             tracer = hooks.tracer
@@ -131,36 +129,9 @@ class Device:
                                 sampler=sampler)
         san = (hooks.sanitizer if hooks.sanitizer is not None
                else self.sanitizer)
-
-        def make_block(block_id: int):
-            def factory():
-                block = BlockContext(
-                    block_id=block_id,
-                    threads=cfg.block_threads,
-                    warps=warps_per_block,
-                    scratchpad=Scratchpad(max(cfg.scratchpad_bytes, 1)),
-                )
-                if cfg.block_init is not None:
-                    cfg.block_init(block)
-                gens = []
-                for w in range(warps_per_block):
-                    if san is None:
-                        ctx = WarpContext(spec, self.memory, block, w,
-                                          tracer=tracer)
-                        gens.append(cfg.kernel(ctx, *cfg.args))
-                    else:
-                        ctx = san.make_context(spec, self.memory,
-                                               block, w, tracer=tracer)
-                        gens.append(san.watch(
-                            cfg.kernel(ctx, *cfg.args), ctx))
-                return block, gens
-            return factory
-
-        if san is not None:
-            san.begin_launch()
         engine = Engine(spec, occ.blocks_per_sm, hooks=hooks)
         cycles = engine.launch(LaunchPlan(
-            [make_block(b) for b in range(cfg.grid)]))
+            self.block_factories(cfg, tracer, san)))
         self.total_cycles += cycles
         self.launches += 1
         launch_profile = None
@@ -177,3 +148,42 @@ class Device:
             occupancy=occ,
             profile=launch_profile,
         )
+
+    def block_factories(self, cfg: KernelLaunch, tracer=None,
+                        sanitizer=None) -> list:
+        """The block factories of one launch of ``cfg``, in launch order.
+
+        ``tracer`` threads into every :class:`WarpContext`, so layer
+        spans land in the launch's trace; under a ``sanitizer`` every
+        warp runs watched, and the call begins a sanitizer launch.
+        """
+        spec = self.spec
+        warps_per_block = -(-cfg.block_threads // spec.warp_size)
+
+        def make_block(block_id: int):
+            def factory():
+                block = BlockContext(
+                    block_id=block_id,
+                    threads=cfg.block_threads,
+                    warps=warps_per_block,
+                    scratchpad=Scratchpad(max(cfg.scratchpad_bytes, 1)),
+                )
+                if cfg.block_init is not None:
+                    cfg.block_init(block)
+                gens = []
+                for w in range(warps_per_block):
+                    if sanitizer is None:
+                        ctx = WarpContext(spec, self.memory, block, w,
+                                          tracer=tracer)
+                        gens.append(cfg.kernel(ctx, *cfg.args))
+                    else:
+                        ctx = sanitizer.make_context(
+                            spec, self.memory, block, w, tracer=tracer)
+                        gens.append(sanitizer.watch(
+                            cfg.kernel(ctx, *cfg.args), ctx))
+                return block, gens
+            return factory
+
+        if sanitizer is not None:
+            sanitizer.begin_launch()
+        return [make_block(b) for b in range(cfg.grid)]

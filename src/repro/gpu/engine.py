@@ -30,10 +30,13 @@ absolute cycles of the workload registry are pinned by
 ``tests/gpu/test_engine_golden.py``.
 
 The dispatch handlers are looked up by request type in a handler table
-(:attr:`Engine._handlers`) instead of an ``isinstance`` chain, and the
+(:attr:`Engine._handlers`) instead of an ``isinstance`` chain.  The
 tracer / profile / sampler instrumentation arrives bundled in one
-:class:`~repro.gpu.launch.EngineHooks` object, guarded by ``is not
-None`` tests so instrumented runs stay cycle-bit-identical to
+:class:`~repro.gpu.launch.EngineHooks` object, which the engine turns
+into one :class:`~repro.gpu.launch.EngineObserver` per launch: each
+issue, stall, DRAM, PCIe, macro-op and translation event is sent once,
+behind one ``is not None`` test per event site, so every sink sees the
+same intervals and instrumented runs stay cycle-bit-identical to
 uninstrumented ones.  :meth:`Engine.launch` takes a
 :class:`~repro.gpu.launch.LaunchPlan` and runs it to completion.
 
@@ -65,8 +68,9 @@ from repro.gpu.instructions import (
     Sleep,
 )
 from repro.gpu.kernel import BlockContext
-from repro.gpu.launch import EngineHooks, LaunchPlan
+from repro.gpu.launch import EngineHooks, EngineObserver, FanOut, LaunchPlan
 from repro.gpu.specs import GPUSpec
+from repro.gpu.trace import TraceObserver
 
 _INF = math.inf
 
@@ -114,19 +118,21 @@ class EngineStats:
 
 
 @dataclass
-class EngineProfile:
+class EngineProfile(EngineObserver):
     """Deep per-launch counters, collected only when profiling is on.
 
-    The engine takes an optional :class:`EngineProfile` and updates it
-    behind ``is not None`` guards, so an unprofiled launch pays one
-    pointer test per dispatched request and nothing else.
+    An :class:`~repro.gpu.launch.EngineObserver` sink: the engine sends
+    it the same events it sends the tracer and the sampler, so an
+    unprofiled launch pays one pointer test per event and nothing else.
 
     * ``sm_busy`` — issue-server busy cycles per SM; idle is the launch
       span minus busy (the per-SM utilisation of the paper's Figure 6
       occupancy sweeps).
     * ``stalls`` — cycles warps spent not issuing, keyed by reason
       (``memory``, ``barrier``, ``lock``, ``atomic``, ``io``, ``spin``,
-      ``issue_queue``, ``exec_dependency``, ``scratch``).
+      ``sleep``, ``issue_queue``, ``exec_dependency``, ``scratch``):
+      the summed lengths of exactly the ``stall`` spans a trace of the
+      launch records, keyed by kind instead of by activity tag.
     * ``dram_queue_cycles`` — time memory accesses waited for the DRAM
       bandwidth server beyond their own issue/dependency chain, i.e.
       pure bandwidth contention.
@@ -141,9 +147,16 @@ class EngineProfile:
     def for_sms(cls, total_sms: int) -> "EngineProfile":
         return cls(sm_busy=[0.0] * total_sms)
 
-    def stall(self, reason: str, cycles: float) -> None:
-        if cycles > 0:
-            self.stalls[reason] = self.stalls.get(reason, 0.0) + cycles
+    def issue(self, warp, sm, start, cycles, count):
+        self.sm_busy[sm] += cycles
+
+    def stall(self, warp, kind, tag, start, end):
+        if end > start:
+            self.stalls[kind] = self.stalls.get(kind, 0.0) + (end - start)
+
+    def dram(self, start, nbytes, transactions, busy, queue):
+        self.dram_queue_cycles += queue
+        self.dram_queued_accesses += 1
 
     @classmethod
     def merged(cls, parts: list["EngineProfile"]) -> "EngineProfile":
@@ -163,15 +176,15 @@ class EngineProfile:
 class _WarpRunner:
     """Engine-side handle for one executing warp coroutine."""
 
-    __slots__ = ("gen", "block", "started", "outstanding", "warp_index",
+    __slots__ = ("gen", "block", "started", "outstanding", "warp_id",
                  "io_stalled", "pending_req")
 
-    def __init__(self, gen, block: BlockContext, warp_index: int = 0):
+    def __init__(self, gen, block: BlockContext, warp_id: int = 0):
         self.gen = gen
         self.block = block
         self.started = False
         self.outstanding = 0.0   # completion time of in-flight async loads
-        self.warp_index = warp_index
+        self.warp_id = warp_id   # global id, as the kernel sees it
         self.io_stalled = False  # currently waiting on a host transfer
         self.pending_req = None  # sliced request awaiting re-dispatch
 
@@ -216,12 +229,14 @@ class Engine:
 
     # -- hooks ---------------------------------------------------------
     def _set_hooks(self, hooks: EngineHooks) -> None:
-        self.hooks = hooks
-        # Mirrors kept as plain attributes: they are read per event in
-        # the hot loop and by external consumers (telemetry profiler).
-        self.tracer = hooks.tracer
+        # Read back by the telemetry profiler and the sharded merge.
         self.profile = hooks.profile
-        self.sampler = hooks.sampler
+        sinks = [sink for sink in (
+            hooks.profile, hooks.sampler,
+            None if hooks.tracer is None else TraceObserver(hooks.tracer))
+            if sink is not None]
+        self._obs = (None if not sinks else sinks[0] if len(sinks) == 1
+                     else FanOut(sinks))
 
     # -- entry points --------------------------------------------------
     def launch(self, plan: LaunchPlan) -> float:
@@ -286,7 +301,7 @@ class Engine:
         block.live_warps = len(gens)
         block.done_warps = 0
         for w, gen in enumerate(gens):
-            self._schedule(_WarpRunner(gen, block, w), time)
+            self._schedule(_WarpRunner(gen, block, block.warp_id(w)), time)
         return True
 
     def _schedule(self, runner: _WarpRunner, time: float) -> None:
@@ -340,11 +355,11 @@ class Engine:
     ISSUE_SLICE = 512.0
 
     def _step(self, runner: _WarpRunner, now: float) -> None:
-        if self.sampler is not None:
-            # Event times are monotonic and every interval recorded
-            # below starts at or after ``now``, so windows ending
-            # before it are complete and can stream out.
-            self.sampler.advance(now)
+        if self._obs is not None:
+            # Event times are monotonic and every interval reported
+            # below ends at or after ``now``, so the sampler's windows
+            # ending before it are complete and can stream out.
+            self._obs.advance(now)
         if runner.io_stalled:
             runner.io_stalled = False
             runner.block.io_stalled -= 1
@@ -364,60 +379,6 @@ class Engine:
             return
         self._dispatch(req, runner, now)
 
-    def _warp_id(self, runner: _WarpRunner) -> int:
-        block = runner.block
-        return (block.block_id * max(block.live_warps, 1)
-                + runner.warp_index)
-
-    def _trace(self, runner: _WarpRunner, req, start: float,
-               end: float) -> None:
-        if self.tracer is not None:
-            block = runner.block
-            self.tracer.record(self._warp_id(runner), block.block_id,
-                               type(req).__name__.lower(), start, end,
-                               sm=block.sm_index)
-
-    # -- attribution events (callers guard on ``self.tracer``) ---------
-    def _stall(self, runner: _WarpRunner, req, default: str,
-               start: float, end: float) -> None:
-        """Record one non-issuing interval, tagged with its reason: the
-        request's activity tag when set ("translation", "tlb_miss",
-        "fault_wait", ...), else the mechanical ``default``."""
-        if end <= start:
-            return
-        block = runner.block
-        reason = default if req is None else (req.tag or default)
-        self.tracer.record(self._warp_id(runner), block.block_id,
-                           "stall", start, end, reason,
-                           sm=block.sm_index)
-
-    def _issue_ev(self, runner: _WarpRunner, start: float,
-                  end: float) -> None:
-        """Record one issue-server occupancy interval of this warp."""
-        if end <= start:
-            return
-        block = runner.block
-        self.tracer.record(self._warp_id(runner), block.block_id,
-                           "issue", start, end, sm=block.sm_index)
-
-    def _translation_ev(self, runner: _WarpRunner, start: float,
-                        end: float, iss: float, lat: float,
-                        hid: float) -> None:
-        """Record the translation-cycle decomposition of one request:
-        ``iss`` issue slots consumed, ``lat`` warp-visible latency the
-        translation chains added (exposed at warp level), ``hid`` chain
-        cycles absorbed by the memory bubble or bandwidth queue (hidden
-        even at warp level).  The analyzer reclassifies ``iss``/``lat``
-        at launch level using concurrent-warp overlap."""
-        if iss <= 0 and lat <= 0 and hid <= 0:
-            return
-        block = runner.block
-        self.tracer.record(
-            self._warp_id(runner), block.block_id, "translation",
-            start, max(end, start),
-            f"iss={iss:.6g};lat={lat:.6g};hid={hid:.6g}",
-            sm=block.sm_index)
-
     def _slice_issue(self, req, runner: _WarpRunner, now: float,
                      sm: int) -> bool:
         """Issue one slice of an oversized instruction block; returns
@@ -430,26 +391,21 @@ class Engine:
         self._issue_avail[sm] = start + issue_time
         self.stats.issue_busy += issue_time
         self.stats.instructions += self.ISSUE_SLICE
-        if self.profile is not None:
-            self.profile.sm_busy[sm] += issue_time
-            self.profile.stall("issue_queue", start - now)
-        if self.sampler is not None:
-            self.sampler.issue(sm, start, issue_time, self.ISSUE_SLICE)
-            self.sampler.stall("issue_queue", start, start - now)
         req.count -= self.ISSUE_SLICE
         chain = (req.chain_length() if isinstance(req, Compute)
                  else req.chain)
         used = min(chain, self.ISSUE_SLICE)
         req.chain = chain - used
         latency = used * spec.dependent_issue_cycles
-        if self.tracer is not None:
-            wake = start + max(issue_time, latency)
-            self._stall(runner, None, "issue_queue", now, start)
-            self._issue_ev(runner, start, start + issue_time)
-            self._stall(runner, req, "exec_dependency",
-                        start + issue_time, wake)
+        wake = start + max(issue_time, latency)
+        obs = self._obs
+        if obs is not None:
+            obs.stall(runner, "issue_queue", "", now, start)
+            obs.issue(runner, sm, start, issue_time, self.ISSUE_SLICE)
+            obs.stall(runner, "exec_dependency", req.tag,
+                      start + issue_time, wake)
         runner.pending_req = req
-        self._schedule(runner, start + max(issue_time, latency))
+        self._schedule(runner, wake)
         return True
 
     # -- dispatch ------------------------------------------------------
@@ -480,32 +436,24 @@ class Engine:
                    + req.chain_length() * spec.dependent_issue_cycles)
         self.stats.instructions += req.count
         done = start + max(issue_time, latency)
-        if self.profile is not None:
-            self.profile.sm_busy[sm] += issue_time
-            self.profile.stall("issue_queue", start - now)
-            self.profile.stall("exec_dependency",
-                               latency - issue_time)
-        if self.sampler is not None:
-            self.sampler.issue(sm, start, issue_time, req.count)
-            self.sampler.stall("issue_queue", start, start - now)
-            self.sampler.stall("exec_dependency", done,
-                               latency - issue_time)
-        self._trace(runner, req, start, done)
-        if self.tracer is not None:
-            self._stall(runner, None, "issue_queue", now, start)
-            self._issue_ev(runner, start, start + issue_time)
-            self._stall(runner, req, "exec_dependency",
-                        start + issue_time, done)
+        obs = self._obs
+        if obs is not None:
+            obs.op(runner, req, start, done)
+            obs.stall(runner, "issue_queue", "", now, start)
+            obs.issue(runner, sm, start, issue_time, req.count)
+            obs.stall(runner, "exec_dependency", req.tag,
+                      start + issue_time, done)
             tr = (req.tags.get("translation")
                   if req.tags is not None else None)
             if tr is not None:
-                dep = spec.dependent_issue_cycles
-                pre = min(tr[1], req.chain_length()) * dep
+                # Counterfactual: where the warp would resume with the
+                # translation share of the chain removed.
+                pre = (min(tr[1], req.chain_length())
+                       * spec.dependent_issue_cycles)
                 done0 = start + max(issue_time, latency - pre)
                 pre_x = done - done0
-                self._translation_ev(runner, start, done,
-                                     tr[0] / self._eff_ipc,
-                                     pre_x, pre - pre_x)
+                obs.translation(runner, start, done,
+                                tr[0] / self._eff_ipc, pre_x, pre - pre_x)
         self._schedule(runner, done)
 
     def _h_scratch(self, req: ScratchAccess, runner: _WarpRunner,
@@ -518,21 +466,12 @@ class Engine:
         self.stats.instructions += req.count
         self.stats.scratch_accesses += req.count
         done = start + max(issue_time, spec.scratchpad_latency_cycles)
-        if self.profile is not None:
-            self.profile.sm_busy[sm] += issue_time
-            self.profile.stall("issue_queue", start - now)
-            self.profile.stall("scratch", done - start - issue_time)
-        if self.sampler is not None:
-            self.sampler.issue(sm, start, issue_time, req.count)
-            self.sampler.stall("issue_queue", start, start - now)
-            self.sampler.stall("scratch", done,
-                               done - start - issue_time)
-        self._trace(runner, req, start, done)
-        if self.tracer is not None:
-            self._stall(runner, None, "issue_queue", now, start)
-            self._issue_ev(runner, start, start + issue_time)
-            self._stall(runner, req, "scratch",
-                        start + issue_time, done)
+        obs = self._obs
+        if obs is not None:
+            obs.op(runner, req, start, done)
+            obs.stall(runner, "issue_queue", "", now, start)
+            obs.issue(runner, sm, start, issue_time, req.count)
+            obs.stall(runner, "scratch", req.tag, start + issue_time, done)
         self._schedule(runner, done)
 
     def _h_atomic(self, req: AtomicOp, runner: _WarpRunner,
@@ -546,31 +485,18 @@ class Engine:
             start + spec.atomic_interval_cycles)
         self.stats.atomics += 1
         done = start + spec.atomic_latency_cycles
-        if self.profile is not None:
-            self.profile.stall("atomic", done - now)
-        if self.sampler is not None:
-            self.sampler.stall("atomic", done, done - now)
-        self._trace(runner, req, start, done)
-        if self.tracer is not None:
-            self._stall(runner, req, "atomic", now, done)
+        obs = self._obs
+        if obs is not None:
+            obs.op(runner, req, start, done)
+            obs.stall(runner, "atomic", req.tag, now, done)
         self._schedule(runner, done)
 
     def _h_fence(self, req: LoadFence, runner: _WarpRunner,
                  now: float) -> None:
-        if self.profile is not None:
-            self.profile.stall("memory", runner.outstanding - now)
-        if self.sampler is not None:
-            self.sampler.stall("memory", max(runner.outstanding,
-                                             now),
-                               runner.outstanding - now)
-        if self.tracer is not None:
-            self._stall(runner, req, "memory", now,
-                        runner.outstanding)
+        if self._obs is not None:
+            self._obs.stall(runner, "memory", req.tag, now,
+                            runner.outstanding)
         self._schedule(runner, max(now, runner.outstanding))
-
-    def _h_barrier(self, req: Barrier, runner: _WarpRunner,
-                   now: float) -> None:
-        self._dispatch_barrier(runner, now)
 
     def _h_acquire(self, req: AcquireLock, runner: _WarpRunner,
                    now: float) -> None:
@@ -582,8 +508,8 @@ class Engine:
         if lock.holder is None:
             lock.holder = runner
             self.stats.lock_acquisitions += 1
-            if self.tracer is not None:
-                self._stall(runner, req, "lock", now, now + cost)
+            if self._obs is not None:
+                self._obs.stall(runner, "lock", req.tag, now, now + cost)
             self._schedule(runner, now + cost)
         else:
             lock.contended += 1
@@ -601,17 +527,8 @@ class Engine:
             self.stats.lock_acquisitions += 1
             cost = (spec.atomic_latency_cycles if lock.latency is None
                     else lock.latency)
-            if self.profile is not None:
-                self.profile.stall("lock", now - enqueued)
-            if self.sampler is not None:
-                self.sampler.stall("lock", now, now - enqueued)
-            if self.tracer is not None:
-                block = waiter.block
-                self.tracer.record(self._warp_id(waiter),
-                                   block.block_id, "stall",
-                                   enqueued, now + cost,
-                                   wtag or "lock",
-                                   sm=block.sm_index)
+            if self._obs is not None:
+                self._obs.stall(waiter, "lock", wtag, enqueued, now + cost)
             self._schedule(waiter, now + cost)
         self._schedule(runner, now)
 
@@ -631,14 +548,11 @@ class Engine:
         self.stats.pcie_transactions += 1
         fixed = 0.0 if req.latency_free else spec.pcie_latency_cycles()
         done = start + xfer + fixed
-        if self.profile is not None:
-            self.profile.stall("io", done - now)
-        if self.sampler is not None:
-            self.sampler.pcie(start, req.nbytes, xfer)
-            self.sampler.stall("io", done, done - now)
-        self._trace(runner, req, start, done)
-        if self.tracer is not None:
-            self._stall(runner, req, "io", now, done)
+        obs = self._obs
+        if obs is not None:
+            obs.pcie(start, req.nbytes, xfer)
+            obs.op(runner, req, start, done)
+            obs.stall(runner, "io", req.tag, now, done)
         self._maybe_preempt(runner, now, done)
         self._schedule(runner, done)
 
@@ -658,31 +572,21 @@ class Engine:
     def _complete_host(self, req: HostCompute, runner: _WarpRunner,
                        now: float, start: float, done: float) -> None:
         self.stats.host_seconds += req.seconds
-        if self.profile is not None:
-            self.profile.stall("io", done - now)
-        if self.sampler is not None:
-            self.sampler.stall("io", done, done - now)
-        self._trace(runner, req, start, done)
-        if self.tracer is not None:
-            self._stall(runner, req, "io", now, done)
+        obs = self._obs
+        if obs is not None:
+            obs.op(runner, req, start, done)
+            obs.stall(runner, "io", req.tag, now, done)
         self._maybe_preempt(runner, now, done)
         self._schedule(runner, done)
 
     def _h_sleep(self, req: Sleep, runner: _WarpRunner,
                  now: float) -> None:
         self.stats.sleep_cycles += req.cycles
-        if req.cycles:
-            self._trace(runner, req, now, now + req.cycles)
-            if self.tracer is not None:
-                self._stall(runner, req,
-                            "spin" if req.io_wait else "sleep",
-                            now, now + req.cycles)
-        if self.profile is not None:
-            self.profile.stall("spin" if req.io_wait else "sleep",
-                               req.cycles)
-        if self.sampler is not None:
-            self.sampler.stall("spin" if req.io_wait else "sleep",
-                               now + req.cycles, req.cycles)
+        obs = self._obs
+        if obs is not None and req.cycles:
+            obs.op(runner, req, now, now + req.cycles)
+            obs.stall(runner, "spin" if req.io_wait else "sleep",
+                      req.tag, now, now + req.cycles)
         if req.io_wait:
             self._maybe_preempt(runner, now, now + req.cycles)
         self._schedule(runner, now + req.cycles)
@@ -692,113 +596,84 @@ class Engine:
         sm = runner.block.sm_index
         if self._slice_issue(req, runner, now, sm):
             return
-        self._dispatch_mem(req, runner, now, sm)
-
-    def _dispatch_mem(self, req: MemAccess, runner: _WarpRunner,
-                      now: float, sm: int) -> None:
         spec = self.spec
+        dep = spec.dependent_issue_cycles
         start = max(now, self._issue_avail[sm])
         issue_time = (req.count + 1) / self._eff_ipc
-        self._issue_avail[sm] = start + issue_time
+        issued = start + issue_time
+        self._issue_avail[sm] = issued
         self.stats.issue_busy += issue_time
         self.stats.instructions += req.count + 1
         nbytes = req.transactions * spec.dram_transaction_bytes
         self.stats.dram_bytes += nbytes
         self.stats.dram_transactions += req.transactions
         # Serial chain before the access can be issued.
-        pre_done = (start + spec.macro_op_overhead_cycles
-                    + req.chain * spec.dependent_issue_cycles)
+        pre_done = start + spec.macro_op_overhead_cycles + req.chain * dep
         dram_avail = self._dram_avail
         dram_start = max(pre_done, dram_avail)
-        self._dram_avail = dram_start + nbytes / self._dram_bpc
-        self.stats.dram_busy += nbytes / self._dram_bpc
-        if self.profile is not None:
-            self.profile.sm_busy[sm] += issue_time
-            self.profile.stall("issue_queue", start - now)
-            self.profile.dram_queue_cycles += dram_start - pre_done
-            self.profile.dram_queued_accesses += 1
-        if self.sampler is not None:
-            self.sampler.issue(sm, start, issue_time, req.count + 1)
-            self.sampler.stall("issue_queue", start, start - now)
-            self.sampler.dram(dram_start, nbytes, req.transactions,
-                              nbytes / self._dram_bpc,
-                              dram_start - pre_done)
-        dep = spec.dependent_issue_cycles
-        tr_attr = False
-        tr_cnt = tr_chain = pre = 0.0
-        if self.tracer is not None:
-            self._stall(runner, None, "issue_queue", now, start)
-            self._issue_ev(runner, start, start + issue_time)
-            tr = (req.tags.get("translation")
-                  if req.tags is not None else None)
-            tr_attr = tr is not None or req.chain_tag == "translation"
-            if tr is not None:
-                tr_cnt, tr_chain = tr
-                tr_chain = min(tr_chain, req.chain)
-            pre = tr_chain * dep
+        dram_busy = nbytes / self._dram_bpc
+        self._dram_avail = dram_start + dram_busy
+        self.stats.dram_busy += dram_busy
         if req.is_store:
             self.stats.stores += 1
-            resume = max(pre_done, start + issue_time)
-            if self.tracer is not None:
-                self._stall(runner, req, "exec_dependency",
-                            start + issue_time, resume)
-                if tr_attr:
-                    # Counterfactual: where the warp would resume with
-                    # the translation pre-chain removed.
-                    resume0 = max(pre_done - pre, start + issue_time)
-                    pre_x = resume - resume0
-                    self._translation_ev(runner, start, resume,
-                                         tr_cnt / self._eff_ipc,
-                                         pre_x, pre - pre_x)
-            self._schedule(runner, resume)
-            return
-        self.stats.loads += 1
-        data_ready = dram_start + spec.dram_latency_cycles
-        self._trace(runner, req, start, data_ready)
-        if req.nonblocking:
-            # Memory-level parallelism: the warp keeps issuing; a
-            # LoadFence later waits for the slowest outstanding load.
-            runner.outstanding = max(runner.outstanding, data_ready)
-            resume = max(pre_done, start + issue_time)
-            if self.tracer is not None:
-                self._stall(runner, req, "exec_dependency",
-                            start + issue_time, resume)
-                if tr_attr:
-                    resume0 = max(pre_done - pre, start + issue_time)
-                    pre_x = resume - resume0
-                    self._translation_ev(runner, start, resume,
-                                         tr_cnt / self._eff_ipc,
-                                         pre_x, pre - pre_x)
-            self._schedule(runner, resume)
-            return
-        overlap_done = (pre_done
-                        + req.overlap_chain * spec.dependent_issue_cycles)
-        ready = max(data_ready, overlap_done)
-        ready += req.post_chain * spec.dependent_issue_cycles
-        final = max(ready, start + issue_time)
-        if self.profile is not None:
-            self.profile.stall("memory", ready - (start + issue_time))
-        if self.sampler is not None:
-            self.sampler.stall("memory", final,
-                               ready - (start + issue_time))
-        if self.tracer is not None:
-            self._stall(runner, req, "memory", start + issue_time, final)
-            if tr_attr:
-                # Exposed pre-chain: extra delay the translation chain
-                # added to the DRAM access start (counterfactual start
-                # with the chain removed, still bounded by queueing).
-                pre_x = dram_start - max(pre_done - pre, dram_avail)
-                if req.chain_tag == "translation":
-                    ov = req.overlap_chain * dep
-                    ov_x = min(ov, max(0.0, overlap_done - data_ready))
-                    post_x = req.post_chain * dep
+        else:
+            self.stats.loads += 1
+            data_ready = dram_start + spec.dram_latency_cycles
+        if req.is_store or req.nonblocking:
+            # The warp keeps issuing once the access is out; a
+            # non-blocking load (memory-level parallelism) is waited
+            # for by a later LoadFence, at its slowest outstanding load.
+            if not req.is_store:
+                runner.outstanding = max(runner.outstanding, data_ready)
+            kind = "exec_dependency"
+            resume = max(pre_done, issued)
+        else:
+            overlap_done = pre_done + req.overlap_chain * dep
+            ready = max(data_ready, overlap_done)
+            ready += req.post_chain * dep
+            kind = "memory"
+            resume = max(ready, issued)
+        obs = self._obs
+        if obs is not None:
+            obs.stall(runner, "issue_queue", "", now, start)
+            obs.issue(runner, sm, start, issue_time, req.count + 1)
+            obs.dram(dram_start, nbytes, req.transactions, dram_busy,
+                     dram_start - pre_done)
+            if not req.is_store:
+                obs.op(runner, req, start, data_ready)
+            obs.stall(runner, kind, req.tag, issued, resume)
+            if req.tags is not None or req.chain_tag == "translation":
+                if kind == "memory":
+                    # The chain's end also gates the DRAM access start,
+                    # which is still bounded by the bandwidth queue.
+                    iss, lat, hid = self._mem_translation(
+                        req, pre_done, dram_avail)
+                    if req.chain_tag == "translation":
+                        ov = req.overlap_chain * dep
+                        ov_x = min(ov, max(0.0, overlap_done - data_ready))
+                        lat = lat + ov_x + req.post_chain * dep
+                        hid += ov - ov_x
                 else:
-                    ov = ov_x = post_x = 0.0
-                self._translation_ev(runner, start, final,
-                                     tr_cnt / self._eff_ipc,
-                                     pre_x + ov_x + post_x,
-                                     (pre - pre_x) + (ov - ov_x))
-        self._schedule(runner, final)
+                    iss, lat, hid = self._mem_translation(
+                        req, pre_done, issued)
+                obs.translation(runner, start, resume, iss, lat, hid)
+        self._schedule(runner, resume)
+
+    def _mem_translation(self, req: MemAccess, pre_done: float,
+                         floor: float) -> tuple[float, float, float]:
+        """Translation share ``(iss, lat, hid)`` of one memory request's
+        pre-chain.  Counterfactual: with the translation part of the
+        chain removed, the gated point ``max(pre_done, floor)`` would
+        move to ``max(pre_done - pre, floor)``; the difference is
+        exposed (``lat``), the rest of the chain hidden (``hid``)."""
+        tr = req.tags.get("translation") if req.tags is not None else None
+        tr_cnt = tr_chain = 0.0
+        if tr is not None:
+            tr_cnt, tr_chain = tr
+            tr_chain = min(tr_chain, req.chain)
+        pre = tr_chain * self.spec.dependent_issue_cycles
+        pre_x = max(pre_done, floor) - max(pre_done - pre, floor)
+        return tr_cnt / self._eff_ipc, pre_x, pre - pre_x
 
     # ------------------------------------------------------------------
     def _maybe_preempt(self, runner: _WarpRunner, now: float,
@@ -829,7 +704,8 @@ class Engine:
             self._start_next_block(sm, start_at)
 
     # ------------------------------------------------------------------
-    def _dispatch_barrier(self, runner: _WarpRunner, now: float) -> None:
+    def _h_barrier(self, req: Barrier, runner: _WarpRunner,
+                   now: float) -> None:
         block = runner.block
         block.barrier_waiting.append((runner, now))
         self.stats.barriers += 1
@@ -843,11 +719,6 @@ class Engine:
             release = max(t for _, t in waiting)
             block.barrier_waiting = []
             for waiter, arrived in waiting:
-                if self.profile is not None:
-                    self.profile.stall("barrier", release - arrived)
-                if self.sampler is not None:
-                    self.sampler.stall("barrier", release,
-                                       release - arrived)
-                if self.tracer is not None:
-                    self._stall(waiter, None, "barrier", arrived, release)
+                if self._obs is not None:
+                    self._obs.stall(waiter, "barrier", "", arrived, release)
                 self._schedule(waiter, release)

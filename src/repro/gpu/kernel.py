@@ -61,6 +61,10 @@ class BlockContext:
     io_stalled: int = 0
     preempted: bool = False
 
+    def warp_id(self, warp_in_block: int) -> int:
+        """Global warp id, as kernels and traces see it."""
+        return self.block_id * self.warps + warp_in_block
+
 
 class WarpContext:
     """Per-warp execution context handed to kernels.
@@ -116,7 +120,7 @@ class WarpContext:
 
     @property
     def warp_id(self) -> int:
-        return self.block.block_id * self.block.warps + self.warp_in_block
+        return self.block.warp_id(self.warp_in_block)
 
     # ------------------------------------------------------------------
     # Telemetry

@@ -72,11 +72,9 @@ from queue import Empty
 
 import numpy as np
 
-from repro.gpu.device import LaunchResult
+from repro.gpu.device import KernelLaunch, LaunchResult
 from repro.gpu.engine import Engine, EngineProfile, EngineStats
-from repro.gpu.kernel import BlockContext, WarpContext
 from repro.gpu.launch import EngineHooks
-from repro.gpu.memory import Scratchpad
 from repro.gpu.trace import Tracer
 
 #: Seconds without any worker message before the parent checks futures
@@ -141,40 +139,14 @@ class _ShardInstrument:
 # Shard-side execution (shared by the in-process and worker paths).
 
 
-def _plan_launch(launch, tracer) -> list:
-    """The block factories of one :class:`ClusterLaunch`.
-
-    ``tracer`` threads into every :class:`WarpContext`, so layer-level
-    spans (translation faults, page-ins, syscalls) land in cluster
-    traces just as they do for single-device launches.
-    """
-    spec = launch.device.spec
-    warps_per_block = -(-launch.block_threads // spec.warp_size)
-
-    def make_block(block_id: int):
-        def factory():
-            block = BlockContext(
-                block_id=block_id,
-                threads=launch.block_threads,
-                warps=warps_per_block,
-                scratchpad=Scratchpad(max(launch.scratchpad_bytes, 1)),
-            )
-            gens = []
-            for w in range(warps_per_block):
-                ctx = WarpContext(spec, launch.device.memory, block, w,
-                                  tracer=tracer)
-                gens.append(launch.kernel(ctx, *launch.args))
-            return block, gens
-        return factory
-
-    return [make_block(b) for b in range(launch.grid)]
-
-
 def _build_shard(launch, blocks_per_sm: int, inst: _ShardInstrument):
     """One single-device engine for one :class:`ClusterLaunch`, gated
-    on the host server and seeded with its block factories.  Returns
-    ``(engine, tracer, sampler)`` — the shard-local instruments."""
-    spec = launch.device.spec
+    on the host server and seeded with the device's block factories
+    (:meth:`Device.block_factories`, under the device's sanitizer when
+    it has one).  Returns ``(engine, tracer, sampler)`` — the
+    shard-local instruments."""
+    device = launch.device
+    spec = device.spec
     tracer = (Tracer(max_events=inst.max_trace_events)
               if inst.trace else None)
     sampler = None
@@ -190,7 +162,11 @@ def _build_shard(launch, blocks_per_sm: int, inst: _ShardInstrument):
         sampler=sampler)
     engine = Engine(spec, blocks_per_sm, hooks=hooks)
     engine.gate_host()
-    engine.begin(_plan_launch(launch, tracer))
+    engine.begin(device.block_factories(
+        KernelLaunch(launch.kernel, launch.grid, launch.block_threads,
+                     launch.args, launch.regs_per_thread,
+                     launch.scratchpad_bytes),
+        tracer, device.sanitizer))
     return engine, tracer, sampler
 
 
@@ -538,7 +514,10 @@ def launch_cluster(launches, *,
     in this process; any larger value spawns one worker per device (the
     protocol needs every shard live to close its barrier, so the pool
     is sized by the cluster, not by ``jobs``).  Results are
-    bit-identical across job counts.  ``epoch_cycles`` bounds how far a
+    bit-identical across job counts.  A device carrying a
+    ``sanitizer`` runs under it, which needs ``jobs=1``: a spawn
+    worker's violations could not come back, so ``jobs>1`` raises
+    ``ValueError`` before spawning.  ``epoch_cycles`` bounds how far a
     shard runs ahead between barriers (default: the PCIe round-trip,
     the minimum cross-device interaction latency).
 
@@ -562,6 +541,11 @@ def launch_cluster(launches, *,
              else float(epoch_cycles))
     if epoch <= 0:
         raise ValueError("epoch_cycles must be positive")
+    if jobs > 1 and len(launches) > 1 and any(
+            launch.device.sanitizer is not None for launch in launches):
+        raise ValueError(
+            "a sanitized device needs jobs=1: a spawn worker's "
+            "sanitizer violations cannot come back to the parent")
 
     max_trace_events = 200_000
     profiler = telemetry_hooks.current()

@@ -31,6 +31,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from repro.gpu.launch import EngineObserver
+
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -208,6 +210,39 @@ class Tracer:
             },
         }
         return trace
+
+
+class TraceObserver(EngineObserver):
+    """The tracer's engine observer: one macro-op record per ``op`` plus
+    the ``stall`` / ``issue`` / ``translation`` spans of
+    :data:`ATTRIBUTION_KINDS`.  A stall span is named by its tag when it
+    has one, else by its kind."""
+
+    def __init__(self, tracer: Tracer):
+        self.record = tracer.record
+
+    def _span(self, warp, kind: str, start: float, end: float,
+              detail: str = "") -> None:
+        block = warp.block
+        self.record(warp.warp_id, block.block_id, kind,
+                    start, end, detail, sm=block.sm_index)
+
+    def issue(self, warp, sm, start, cycles, count):
+        end = start + cycles
+        if end > start:
+            self._span(warp, "issue", start, end)
+
+    def stall(self, warp, kind, tag, start, end):
+        if end > start:
+            self._span(warp, "stall", start, end, tag or kind)
+
+    def op(self, warp, req, start, end):
+        self._span(warp, type(req).__name__.lower(), start, end)
+
+    def translation(self, warp, start, end, iss, lat, hid):
+        if iss > 0 or lat > 0 or hid > 0:
+            self._span(warp, "translation", start, max(end, start),
+                       f"iss={iss:.6g};lat={lat:.6g};hid={hid:.6g}")
 
 
 def events_from_chrome_trace(trace: dict) -> tuple[list[TraceEvent], int]:

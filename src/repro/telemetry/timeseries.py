@@ -2,11 +2,11 @@
 
 Everything else in :mod:`repro.telemetry` is post-hoc: a launch must
 finish before its :class:`LaunchProfile` exists.  The
-:class:`TimeseriesSampler` closes that gap.  The engine drives it from
-the event loop behind the same ``is not None`` pointer test that guards
-``EngineProfile`` — an unsampled launch pays one comparison per event
-and nothing else — and the sampler buckets everything it sees into
-fixed-width *windows* of simulated cycles:
+:class:`TimeseriesSampler` closes that gap.  As an engine observer
+(:class:`repro.gpu.launch.EngineObserver`) it gets the same events as
+``EngineProfile`` and the tracer — an unobserved launch pays one
+comparison per event and nothing else — and buckets everything it
+sees into fixed-width *windows* of simulated cycles:
 
 * per-SM issue-server busy cycles (occupancy) and instructions issued;
 * warp stall cycles keyed by reason (``memory``, ``barrier``, ...);
@@ -40,6 +40,8 @@ import json
 import math
 import os
 from typing import Callable, Optional
+
+from repro.gpu.launch import EngineObserver
 
 #: Default window width, simulated cycles.  At the K80's 0.56 GHz this
 #: is ~90 us of simulated time per sample — fine enough to see phase
@@ -75,11 +77,9 @@ class _Window:
         self.pcie_busy = 0.0
 
 
-class TimeseriesSampler:
+class TimeseriesSampler(EngineObserver):
     """Buckets engine activity into fixed cycle windows.  See module
-    docstring for the full contract; the engine-facing hooks are
-    :meth:`advance`, :meth:`issue`, :meth:`stall`, :meth:`dram`,
-    :meth:`pcie`, and :meth:`finish`."""
+    docstring for the full contract; its owner calls :meth:`finish`."""
 
     def __init__(self, num_sms: int,
                  window_cycles: float = DEFAULT_WINDOW_CYCLES,
@@ -115,7 +115,7 @@ class TimeseriesSampler:
         # start), so the first window reports deltas, not nothing.
         self._probe_deltas()
 
-    # -- engine-facing hooks (hot path; must never mutate sim state) ---
+    # -- engine observer events (hot path; must never mutate sim state)
     def advance(self, now: float) -> None:
         """Heap time reached ``now``: close every window that ended.
 
@@ -131,7 +131,7 @@ class TimeseriesSampler:
         self._flushed_until = target
         self._next_roll = (target + 1) * self.window_cycles
 
-    def issue(self, sm: int, start: float, cycles: float,
+    def issue(self, warp, sm: int, start: float, cycles: float,
               count: float) -> None:
         """One issue-server reservation: ``cycles`` busy on ``sm``
         issuing ``count`` instructions, starting at ``start``."""
@@ -161,13 +161,13 @@ class TimeseriesSampler:
                 break
             index += 1
 
-    def stall(self, reason: str, end: float, cycles: float) -> None:
-        """``cycles`` of warp stall time, attributed to the window in
-        which the stall *ended* (stall intervals may begin before the
-        current window — e.g. barrier waiters — and closed windows are
-        immutable, so completion-time attribution keeps the stream
-        append-only)."""
-        if cycles <= 0:
+    def stall(self, warp, kind: str, tag: str, start: float,
+              end: float) -> None:
+        """One warp stall, attributed to the window in which it *ended*
+        (stall intervals may begin before the current window — e.g.
+        barrier waiters — and closed windows are immutable, so
+        completion-time attribution keeps the stream append-only)."""
+        if end <= start:
             return
         index = int(end / self.window_cycles)
         if index < self._flushed_until:
@@ -175,7 +175,7 @@ class TimeseriesSampler:
         win = self._open.get(index)
         if win is None:
             win = self._window(index)
-        win.stalls[reason] = win.stalls.get(reason, 0.0) + cycles
+        win.stalls[kind] = win.stalls.get(kind, 0.0) + (end - start)
 
     def dram(self, start: float, nbytes: int, transactions: int,
              busy: float, queue_cycles: float) -> None:

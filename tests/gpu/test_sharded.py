@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.analysis.sanitizer import Sanitizer
 from repro.gpu import Device, K80_SPEC, Tracer
 from repro.gpu.multigpu import ClusterLaunch, launch_cluster
 from repro.gpu.sharded import (
@@ -390,3 +391,45 @@ class TestWorkerTimeoutEnv:
         monkeypatch.setenv(WORKER_TIMEOUT_ENV, raw)
         with pytest.raises(ValueError, match="positive"):
             worker_timeout()
+
+
+def torn_write_kernel(ctx, base):
+    # Every warp of the block writes the same words: one torn write.
+    yield from ctx.store(base + ctx.lane * 4,
+                         np.ones(32, np.float32), "f4")
+
+
+class TestClusterSanitizer:
+    """A device's sanitizer watches its cluster shard exactly as it
+    watches a plain launch of the same kernel."""
+
+    def _sanitized_devices(self, n):
+        devices = make_devices(n)
+        for device in devices:
+            device.sanitizer = Sanitizer()
+        return devices
+
+    def test_jobs_1_runs_every_device_under_its_sanitizer(self):
+        [plain] = self._sanitized_devices(1)
+        plain.launch(torn_write_kernel, 1, 64, args=(plain.alloc(4096),))
+        watched = plain.sanitizer.stats.warps_watched
+        assert watched == 2
+
+        devices = self._sanitized_devices(2)
+        launch_cluster([ClusterLaunch(d, torn_write_kernel, 1, 64,
+                                      args=(d.alloc(4096),))
+                        for d in devices], jobs=1)
+        assert [d.sanitizer.stats.warps_watched for d in devices] \
+            == [watched, watched]
+        assert [[v.invariant for v in d.sanitizer.violations]
+                for d in devices] == [["torn-write"], ["torn-write"]]
+
+    def test_jobs_n_refuses_sanitized_devices_before_spawning(self):
+        devices = self._sanitized_devices(2)
+        devices[0].sanitizer = None
+        with pytest.raises(ValueError, match="jobs=1"):
+            launch_cluster([ClusterLaunch(d, torn_write_kernel, 1, 64,
+                                          args=(d.alloc(4096),))
+                            for d in devices], jobs=2)
+        assert [d.launches for d in devices] == [0, 0]
+        assert devices[1].sanitizer.stats.warps_watched == 0

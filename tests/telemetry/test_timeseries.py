@@ -134,7 +134,7 @@ class TestPagingCountersAndGauges:
 class TestSamplerUnit:
     def test_issue_spread_conserves_cycles_and_instructions(self):
         s = TimeseriesSampler(num_sms=1, window_cycles=100.0)
-        s.issue(0, 50.0, 175.0, 8.0)       # spans windows 0, 1, 2
+        s.issue(None, 0, 50.0, 175.0, 8.0)       # spans windows 0, 1, 2
         s.finish(300.0)
         busy = [w["sm_busy"][0] for w in s.windows]
         assert busy == [50.0, 100.0, 25.0]
@@ -144,7 +144,7 @@ class TestSamplerUnit:
     def test_stall_attributed_to_end_window(self):
         s = TimeseriesSampler(num_sms=1, window_cycles=100.0)
         s.advance(250.0)                   # windows 0 and 1 closed
-        s.stall("barrier", end=250.0, cycles=240.0)  # began in window 0
+        s.stall(None, "barrier", "", 10.0, 250.0)  # began in window 0
         s.finish(300.0)
         stalls = [w["stalls"].get("barrier", 0.0) for w in s.windows]
         assert stalls == [0.0, 0.0, 240.0]
@@ -153,12 +153,12 @@ class TestSamplerUnit:
         hits = []
         s = TimeseriesSampler(num_sms=1, window_cycles=100.0,
                               sink=hits.append)
-        s.issue(0, 10.0, 10.0, 1.0)
+        s.issue(None, 0, 10.0, 10.0, 1.0)
         s.advance(150.0)
         assert len(hits) == 1
         flushed = json.loads(json.dumps(hits[0]))
-        s.issue(0, 150.0, 10.0, 1.0)       # lands in open window 1
-        s.stall("memory", end=160.0, cycles=500.0)
+        s.issue(None, 0, 150.0, 10.0, 1.0)       # lands in open window 1
+        s.stall(None, "memory", "", -340.0, 160.0)
         s.finish(200.0)
         assert hits[0] == flushed          # window 0 never touched
 
