@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.gpu.kernel import WarpContext
+from repro.gpu.memory import materialise
 
 #: Bound on the torn-write history; beyond it the oldest records are
 #: dropped (and counted), trading completeness for memory.
@@ -300,17 +301,21 @@ class SanitizedWarpContext(WarpContext):
         self._san_aptrs: list = []
 
     def store(self, addrs, values, dtype="f4", mask=None):
-        vec = self._addr_vec(addrs)
+        addrs = self._addr_vec(addrs)
+        # A LaneRange's inactive lanes store nothing: record its lanes
+        # under its prefix mask, as the equivalent array store.
+        vec, lanes = materialise(addrs, mask)
         self.sanitizer.note_store(
-            self, vec, int(np.dtype(dtype).itemsize), mask)
-        return (yield from super().store(vec, values, dtype, mask=mask))
+            self, vec, int(np.dtype(dtype).itemsize), lanes)
+        return (yield from super().store(addrs, values, dtype, mask=mask))
 
     def store_wide(self, addrs, values, dtype="f4", mask=None):
-        vec = self._addr_vec(addrs)
+        addrs = self._addr_vec(addrs)
         width = int(np.dtype(dtype).itemsize) \
             * int(np.asarray(values).shape[1])
-        self.sanitizer.note_store(self, vec, width, mask)
-        return (yield from super().store_wide(vec, values, dtype,
+        vec, lanes = materialise(addrs, mask)
+        self.sanitizer.note_store(self, vec, width, lanes)
+        return (yield from super().store_wide(addrs, values, dtype,
                                               mask=mask))
 
     def syncthreads(self):

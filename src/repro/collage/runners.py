@@ -30,6 +30,7 @@ from repro.collage.histogram import HIST_BYTES, HIST_FLOATS
 from repro.core import APConfig, AVM
 from repro.gpu import Device
 from repro.gpu.kernel import WarpContext
+from repro.gpu.memory import LaneRange
 from repro.host import HostFileSystem
 from repro.host.cpu import CPUSpec, HOST_CPU
 from repro.host.ramfs import RamFS
@@ -101,6 +102,11 @@ def _search_block(ctx, query, cand_ids, read_candidate):
 def _wide_reads_per_record() -> int:
     # 3072 bytes at 16 bytes/lane * 32 lanes = 512 B per access.
     return -(-HIST_BYTES // (16 * 32))
+
+
+def _line(ctx: WarpContext, base: int) -> LaneRange:
+    """One 16-byte wide load per lane from ``base`` on: 512 bytes."""
+    return LaneRange(base, 16, ctx.warp_size, ctx.warp_size)
 
 
 # ----------------------------------------------------------------------
@@ -184,7 +190,7 @@ def run_cpu_gpu(problem: CollageProblem,
             b = chunk[w]
             for i in range(_wide_reads_per_record()):
                 yield from ctx.load_wide(
-                    image_base + b * HIST_BYTES + i * 512 + ctx.lane * 16,
+                    _line(ctx, image_base + b * HIST_BYTES + i * 512),
                     "f4", 4)
             yield from ctx.compute(HIST_INSTRS + lsh_instrs,
                                    chain=HIST_LSH_CHAIN)
@@ -231,7 +237,7 @@ def run_cpu_gpu(problem: CollageProblem,
                 for i in range(_wide_reads_per_record()):
                     ctx.charge(3)
                     part = yield from ctx.load_wide(
-                        base + i * 512 + ctx.lane * 16, "f4", 4,
+                        _line(ctx, base + i * 512), "f4", 4,
                         nonblocking=True)
                     parts.append(part.reshape(-1))
                 yield from ctx.fence()
@@ -311,8 +317,8 @@ def _run_gpufs_common(problem: CollageProblem, *, use_apointers: bool,
                 # Stage 1: block histogram + LSH keys (input resident).
                 for i in range(wide):
                     yield from ctx.load_wide(
-                        image_base + b * HIST_BYTES + i * 512
-                        + ctx.lane * 16, "f4", 4)
+                        _line(ctx, image_base + b * HIST_BYTES + i * 512),
+                        "f4", 4)
                 yield from ctx.compute(HIST_INSTRS + lsh_instrs,
                                    chain=HIST_LSH_CHAIN)
 
@@ -351,7 +357,7 @@ def _run_gpufs_common(problem: CollageProblem, *, use_apointers: bool,
                         p = pos // page
                         ctx.charge(4)
                         part = yield from ctx.load_wide(
-                            addrs[p] + (pos % page) + ctx.lane * 16,
+                            _line(ctx, addrs[p] + pos % page),
                             "f4", 4, nonblocking=True)
                         parts.append(part.reshape(-1))
                     yield from ctx.fence()

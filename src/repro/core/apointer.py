@@ -34,7 +34,10 @@ linked-lane count and, while every lane is linked, the aphysical
 addresses), so the common warp shapes — an all-linked dereference, an
 increment that stays in the lanes' shared page — cost a few scalar
 tests instead of per-lane scans, as the register-cached translation
-does in hardware.
+does in hardware.  A linked warp whose aphysical addresses are evenly
+spaced, the coalesced line, is summarised as a
+:class:`~repro.gpu.memory.LaneRange`, which global memory serves with
+one slice.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from repro.core.calibration import CostModel, cost_model_for
 from repro.core.config import APConfig, ImplVariant, PtrFormat
 from repro.gpu import warp_primitives as wp
 from repro.gpu.kernel import WarpContext
+from repro.gpu.memory import LaneRange
 
 
 class APtrState(enum.Enum):
@@ -68,6 +72,10 @@ class BoundsError(IndexError):
 
 #: Alignment of a warp whose every position is 0 (any width divides it).
 _ALIGN_ALL = 1 << 62
+#: Widest lane access (a 16-byte vector load): a linked warp summarised
+#: as a LaneRange has a lane stride no wider, so an access of its width
+#: can take the range path.
+_MAX_LANE_BYTES = 16
 
 
 class _Summary:
@@ -79,6 +87,8 @@ class _Summary:
     ``addrs`` holds each lane's aphysical address (``frame_addr`` plus
     in-page offset) and ``all_write`` whether every link is a write
     link (``None`` until a write asks); otherwise ``addrs`` is ``None``.
+    Evenly spaced addresses are held as a :class:`LaneRange` (see
+    :func:`_lanes`), any others as an array.
     """
 
     __slots__ = ("lo", "hi", "align", "nlinked", "addrs", "all_write")
@@ -102,21 +112,26 @@ class _Summary:
         linked = nlinked == pos.size
         return cls(int(pos.min()), int(pos.max()),
                    bits & -bits if bits else _ALIGN_ALL, nlinked,
-                   aptr.frame_addr + aptr.in_page_vec() if linked else None,
+                   _lanes(aptr.frame_addr + aptr.in_page_vec())
+                   if linked else None,
                    None)
 
     def shift(self, delta: int) -> None:
         """Move every lane ``delta`` bytes without changing its page.
 
         ``addrs`` is replaced, never updated in place: a vector already
-        returned by a dereference stays as it was.
+        returned by a dereference stays as it was.  A range stays a
+        range.
         """
         self.lo += delta
         self.hi += delta
         if delta:
             self.align = min(self.align, delta & -delta)
-        if self.addrs is not None:
-            self.addrs = self.addrs + delta
+        addrs = self.addrs
+        if type(addrs) is LaneRange:
+            self.addrs = addrs.shift(delta)
+        elif addrs is not None:
+            self.addrs = addrs + delta
 
 
 class APtr:
@@ -387,8 +402,9 @@ class APtr:
         if every:
             # The fault linked every lane, each for a write exactly when
             # this access writes (the upgrade unlinked any other).
+            addrs = _lanes(addrs)
             self._sum = _Summary(span.lo, span.hi, span.align,
-                                 addrs.size, addrs, write)
+                                 self.pos.size, addrs, write)
         return addrs
 
     def _page_fault(self, ctx: WarpContext, active: np.ndarray,
@@ -536,6 +552,20 @@ class APtr:
             raise BoundsError(
                 f"{width}-byte access at in-page offset {end - width} "
                 f"runs past the end of its {page}-byte page")
+
+
+def _lanes(addrs: np.ndarray):
+    """A linked warp's aphysical addresses as the summary holds them: a
+    :class:`LaneRange` when lane ``i`` is at ``addrs[0] + i * width``
+    for one ``width`` from 1 to :data:`_MAX_LANE_BYTES`, else the
+    array itself."""
+    if addrs.size > 1:
+        base = int(addrs[0])
+        width = int(addrs[1]) - base
+        if (0 < width <= _MAX_LANE_BYTES
+                and not (addrs[1:] - addrs[:-1] - width).any()):
+            return LaneRange(base, width, addrs.size, addrs.size)
+    return addrs
 
 
 def _groups(lanes: np.ndarray, keys: np.ndarray):

@@ -20,7 +20,7 @@ kernels it is given and charges time for what they do.
 from repro.gpu.device import Device, KernelLaunch, LaunchResult
 from repro.gpu.specs import GPUSpec, K80_SPEC
 from repro.gpu.kernel import WarpContext
-from repro.gpu.memory import GlobalMemory, Scratchpad
+from repro.gpu.memory import GlobalMemory, LaneRange, Scratchpad
 from repro.gpu.occupancy import OccupancyLimits, occupancy_limits
 from repro.gpu.trace import Tracer, render_timeline
 
@@ -32,6 +32,7 @@ __all__ = [
     "K80_SPEC",
     "WarpContext",
     "GlobalMemory",
+    "LaneRange",
     "Scratchpad",
     "OccupancyLimits",
     "occupancy_limits",

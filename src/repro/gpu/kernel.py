@@ -38,7 +38,7 @@ from repro.gpu.instructions import (
     Sleep,
     TimedLock,
 )
-from repro.gpu.memory import GlobalMemory, Scratchpad
+from repro.gpu.memory import GlobalMemory, LaneRange, Scratchpad
 from repro.gpu.specs import GPUSpec
 
 
@@ -258,6 +258,9 @@ class WarpContext:
              chain_tag: str = "") -> Iterator[Request]:
         """Warp-wide gather from global memory.
 
+        ``addrs`` is a lane-address vector, a scalar, or a
+        :class:`~repro.gpu.memory.LaneRange` (a coalesced warp line).
+
         ``overlap_chain`` and ``post_chain`` support the speculative
         prefetch optimisation (§IV-B): the overlap chain runs while the
         data is in flight; the post chain runs after it arrives.
@@ -445,7 +448,11 @@ class WarpContext:
         return self.now
 
     # ------------------------------------------------------------------
-    def _addr_vec(self, addrs) -> np.ndarray:
+    def _addr_vec(self, addrs) -> np.ndarray | LaneRange:
+        """Lane addresses as the memory accessors take them: a
+        :class:`LaneRange` as it is, a scalar broadcast to every lane."""
+        if type(addrs) is LaneRange:
+            return addrs
         addrs = np.asarray(addrs, dtype=np.int64)
         if addrs.ndim == 0:
             addrs = np.full(self.warp_size, int(addrs), dtype=np.int64)

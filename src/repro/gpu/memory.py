@@ -7,14 +7,35 @@ hardware coalescer does — distinct 128-byte segments touched by the
 active lanes — so fully coalesced 4-byte accesses cost one transaction
 and scattered accesses cost up to 32.
 
-Data moves on one of two paths, chosen by the addresses alone.  When
-every active lane's address is a multiple of the element width, a warp
-access is one gather or scatter on a typed view of the byte array;
-otherwise (an unaligned lane) it moves the elements byte by byte.  Both
-paths read and write the same bytes.
+A warp access names its lanes one of two ways: an int64 vector of lane
+addresses (any shape of access), or a :class:`LaneRange` — lanes
+``i < active`` at ``base + i * width``, the coalesced warp line that
+page copies, copy kernels and linked apointer warps issue.  Data moves
+on one of three paths:
+
+* **range slice** — a ``LaneRange`` whose ``width`` is the access width,
+  whose base is a multiple of the element width, with no extra mask:
+  the active lanes' elements are one contiguous run, so the access is
+  one slice of a typed view of the byte array, and the bounds check is
+  two compares on the run's ends;
+* **aligned gather** — every active lane's address is a multiple of
+  the element width: one gather or scatter on the typed view;
+* **byte path** — otherwise (an unaligned lane) the elements move byte
+  by byte.
+
+Any other ``LaneRange`` is materialised to its lane array and prefix
+mask and takes the array paths.  All three paths read and write the
+same bytes and raise the same :class:`MemoryError_`.
+
+The coalescer's count for a ``LaneRange`` is closed-form: its lanes
+cover the byte interval ``[base, base + active * width)`` without gaps,
+so they touch every segment from ``base // tb`` to
+``(base + active * width - 1) // tb`` and no other.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -31,11 +52,56 @@ class MemoryError_(Exception):
     """Raised on out-of-bounds simulated memory access."""
 
 
+class LaneRange(NamedTuple):
+    """A contiguous warp access: lane ``i`` at ``base + i * width`` for
+    ``i < active``; the lanes from ``active`` to ``size`` are inactive.
+
+    ``np.asarray`` materialises the lane addresses; :attr:`mask` is the
+    matching prefix mask.  The two together are exactly the array
+    access this range stands for.
+    """
+
+    base: int
+    width: int
+    active: int
+    size: int
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        addrs = self.base + self.width * np.arange(self.size,
+                                                   dtype=np.int64)
+        return addrs if dtype is None else addrs.astype(dtype, copy=False)
+
+    @property
+    def mask(self) -> np.ndarray | None:
+        """The active lanes, or ``None`` when every lane is active."""
+        if self.active >= self.size:
+            return None
+        return np.arange(self.size) < self.active
+
+    def shift(self, delta: int) -> "LaneRange":
+        """The same lanes ``delta`` bytes further on."""
+        return self._replace(base=self.base + delta)
+
+
+def materialise(addrs, mask: np.ndarray | None = None):
+    """``(lane addresses, mask)`` of an access: a :class:`LaneRange`
+    becomes its lane array with its prefix mask ANDed into ``mask``;
+    anything else is returned as it is."""
+    if type(addrs) is not LaneRange:
+        return addrs, mask
+    prefix = addrs.mask
+    if prefix is not None:
+        mask = prefix if mask is None else prefix & np.asarray(mask, bool)
+    return np.asarray(addrs), mask
+
+
 class GlobalMemory:
     """The GPU's global (device) memory.
 
     A bump allocator hands out regions; :meth:`load_vector` and
     :meth:`store_vector` perform the actual data movement for a warp.
+    Every warp accessor takes lane addresses as an array or as a
+    :class:`LaneRange`.
     """
 
     def __init__(self, size: int, transaction_bytes: int = 128):
@@ -82,28 +148,39 @@ class GlobalMemory:
     # ------------------------------------------------------------------
     # Warp-vector accessors
     # ------------------------------------------------------------------
-    def load_vector(self, addrs: np.ndarray, dtype: str,
+    def load_vector(self, addrs, dtype: str,
                     mask: np.ndarray | None = None) -> np.ndarray:
         """Gather one element of ``dtype`` per active lane."""
         return self._load(addrs, dtype, None, mask)
 
-    def load_vector_wide(self, addrs: np.ndarray, dtype: str, elems: int,
+    def load_vector_wide(self, addrs, dtype: str, elems: int,
                          mask: np.ndarray | None = None) -> np.ndarray:
         """Gather ``elems`` consecutive elements of ``dtype`` per lane
         (vectorised 8/16-byte loads).  Returns shape ``(lanes, elems)``."""
         return self._load(addrs, dtype, elems, mask)
 
-    def store_vector(self, addrs: np.ndarray, values: np.ndarray,
+    def store_vector(self, addrs, values: np.ndarray,
                      dtype: str, mask: np.ndarray | None = None) -> None:
         """Scatter one element of ``dtype`` per active lane.
 
-        ``values`` of shape ``addrs.shape + (elems,)`` stores ``elems``
-        consecutive elements per lane: the wide store.  Lanes storing to
-        the same address leave the last lane's value.
+        ``values`` with one more axis than the lanes, ``elems`` long,
+        stores ``elems`` consecutive elements per lane: the wide store.
+        Lanes storing to the same address leave the last lane's value.
         """
         width = DTYPE_WIDTHS[dtype]
-        addrs = np.asarray(addrs, dtype=np.int64)
         values = np.asarray(values, dtype=np.dtype(dtype))
+        if type(addrs) is LaneRange:
+            elems = values.shape[-1] if values.ndim > 1 else 1
+            if (mask is None and addrs.width == width * elems
+                    and not addrs.base % width):
+                active = addrs.active
+                if active:
+                    first = self._range_start(addrs, width)
+                    self._typed(dtype)[first:first + active * elems] = \
+                        values[:active].reshape(-1)
+                return
+            addrs, mask = materialise(addrs, mask)
+        addrs = np.asarray(addrs, dtype=np.int64)
         wide = values.ndim > addrs.ndim
         elems = values.shape[-1] if wide else 1
         nbytes = width * elems
@@ -134,15 +211,24 @@ class GlobalMemory:
         for i in range(nbytes):
             self.data[sel + i] = raw[:, i]
 
-    def transactions_for(self, addrs: np.ndarray, width: int,
+    def transactions_for(self, addrs, width: int,
                          mask: np.ndarray | None = None) -> int:
         """DRAM transactions for a warp access (coalescer model): the
         distinct ``transaction_bytes`` segments the active lanes touch."""
+        tb = self.transaction_bytes
+        if type(addrs) is LaneRange:
+            if mask is None and addrs.width == width:
+                # Gap-free lanes: every segment between the first and
+                # the last byte's, whatever the base's alignment.
+                base, active = addrs.base, addrs.active
+                if not active:
+                    return 0
+                return (base + active * width - 1) // tb - base // tb + 1
+            addrs, mask = materialise(addrs, mask)
         addrs = np.asarray(addrs, dtype=np.int64).ravel()
         mask = _partial(mask)
         if mask is not None:
             addrs = addrs[mask.ravel()]
-        tb = self.transaction_bytes
         if addrs.size == 0:
             return 0
         if addrs.size == 1:
@@ -197,6 +283,11 @@ class GlobalMemory:
         ``elems`` axis of consecutive elements."""
         width = DTYPE_WIDTHS[dtype]
         nbytes = width * (elems or 1)
+        if type(addrs) is LaneRange:
+            if (mask is None and addrs.width == nbytes
+                    and not addrs.base % width):
+                return self._load_range(addrs, dtype, elems)
+            addrs, mask = materialise(addrs, mask)
         addrs = np.asarray(addrs, dtype=np.int64)
         shape = addrs.shape if elems is None else addrs.shape + (elems,)
         mask = _partial(mask)
@@ -224,6 +315,31 @@ class GlobalMemory:
         out[mask] = vals
         return out
 
+    def _load_range(self, lanes: LaneRange, dtype: str,
+                    elems: int | None) -> np.ndarray:
+        """The range-slice load: one element (``elems=None``) or an
+        ``elems`` axis per lane, zero in the inactive lanes."""
+        active, size = lanes.active, lanes.size
+        shape = (size,) if elems is None else (size, elems)
+        if not active:
+            return np.zeros(shape, dtype=np.dtype(dtype))
+        first = self._range_start(lanes, DTYPE_WIDTHS[dtype])
+        run = self._typed(dtype)[first:first + active * (elems or 1)]
+        if active == size:
+            return run.reshape(shape).copy()
+        out = np.zeros(shape, dtype=np.dtype(dtype))
+        out[:active] = run.reshape((active,) + shape[1:])
+        return out
+
+    def _range_start(self, lanes: LaneRange, width: int) -> int:
+        """Bounds-check a range-slice access (active lanes only) and
+        return its first index into the ``width``-byte typed view."""
+        base = lanes.base
+        end = base + lanes.active * lanes.width
+        if base < 0 or end > self.size:
+            self._out_of_bounds(base, end)
+        return base // width
+
     # ------------------------------------------------------------------
     def _check(self, addr: int, nbytes: int) -> None:
         if addr < 0 or addr + nbytes > self.size:
@@ -234,10 +350,13 @@ class GlobalMemory:
 
     def _check_vec(self, addrs: np.ndarray, width: int) -> None:
         if addrs.size and (addrs.min() < 0 or addrs.max() + width > self.size):
-            raise MemoryError_(
-                f"device vector access out of bounds: "
-                f"[{addrs.min()}, {addrs.max() + width}) size {self.size}"
-            )
+            self._out_of_bounds(addrs.min(), addrs.max() + width)
+
+    def _out_of_bounds(self, lo: int, hi: int) -> NoReturn:
+        raise MemoryError_(
+            f"device vector access out of bounds: [{lo}, {hi}) "
+            f"size {self.size}"
+        )
 
 
 def _pow2(n: int) -> bool:

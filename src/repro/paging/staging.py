@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.gpu.kernel import WarpContext
+from repro.gpu.memory import LaneRange
 
 
 @dataclass
@@ -215,13 +216,17 @@ class TransferBatcher:
                      dst_addr: int, nbytes: int):
         """Warp-wide timed copy: staging slot -> page frame."""
         width = 8
-        step = width * ctx.warp_size
+        lanes = ctx.warp_size
+        step = width * lanes
+        src_addr, dst_addr = int(src_addr), int(dst_addr)
         for off in range(0, nbytes, step):
-            lane_off = off + ctx.lane * width
-            mask = lane_off + width <= nbytes
+            # The lanes whose whole word lies inside the copy.
+            active = min(lanes, (nbytes - off) // width)
             ctx.charge(4)
-            vals = yield from ctx.load(src_addr + lane_off, "u8", mask=mask)
-            yield from ctx.store(dst_addr + lane_off, vals, "u8", mask=mask)
+            vals = yield from ctx.load(
+                LaneRange(src_addr + off, width, active, lanes), "u8")
+            yield from ctx.store(
+                LaneRange(dst_addr + off, width, active, lanes), vals, "u8")
         tail = nbytes % width
         if tail:
             base = nbytes - tail

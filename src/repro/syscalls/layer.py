@@ -51,6 +51,7 @@ from typing import Optional
 import numpy as np
 
 from repro.gpu.kernel import WarpContext
+from repro.gpu.memory import LaneRange
 from repro.host.ramfs import FileSystemError
 from repro.paging.page_table import PageTableEntry
 
@@ -544,13 +545,16 @@ class SyscallLayer:
     def _warp_copy(self, ctx: WarpContext, src: int, dst: int,
                    nbytes: int):
         """Warp-cooperative copy between a frame and a warp buffer."""
-        step = 16 * ctx.warp_size
+        lanes = ctx.warp_size
+        step = 16 * lanes
+        src, dst = int(src), int(dst)
         for off in range(0, nbytes - nbytes % step, step):
-            lane = off + ctx.lane * 16
             ctx.charge(4)
-            vals = yield from ctx.load_wide(src + lane, "f4", 4,
-                                            nonblocking=True)
-            yield from ctx.store_wide(dst + lane, vals, "f4")
+            vals = yield from ctx.load_wide(
+                LaneRange(src + off, 16, lanes, lanes), "f4", 4,
+                nonblocking=True)
+            yield from ctx.store_wide(
+                LaneRange(dst + off, 16, lanes, lanes), vals, "f4")
         yield from ctx.fence()
         tail = nbytes % step
         if tail:

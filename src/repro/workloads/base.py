@@ -18,6 +18,7 @@ import numpy as np
 from repro.core import APConfig, AVM
 from repro.gpu import Device
 from repro.gpu.kernel import WarpContext
+from repro.gpu.memory import LaneRange
 
 #: Loop bookkeeping instructions per iteration in both versions.
 LOOP_INSTRS = 4
@@ -102,11 +103,11 @@ def run_workload(workload: Workload, device: Device, *,
         # warp-line per iteration (a page fault every 4096/line reads).
         stride = 32 * width
         chunk = iters_per_thread * stride
-        base_pos = ctx.warp_id * chunk + ctx.lane * width
+        first = ctx.warp_id * chunk
         ptr = None
         if use_apointers:
             ptr = avm.gvmmap_device(ctx, src, total_floats * 4)
-            yield from ptr.seek(ctx, base_pos)
+            yield from ptr.seek(ctx, first + ctx.lane * width)
         for i in range(iters_per_thread):
             if use_apointers:
                 if floats_per_load == 1:
@@ -119,14 +120,14 @@ def run_workload(workload: Workload, device: Device, *,
                 yield from ptr.add(ctx, stride)
             else:
                 ctx.charge(2, chain=2)
+                line = LaneRange(src + first + i * stride, width,
+                                 ctx.warp_size, ctx.warp_size)
                 if floats_per_load == 1:
-                    v = yield from ctx.load(src + base_pos + i * stride,
-                                            "f4")
+                    v = yield from ctx.load(line, "f4")
                     vals = v.astype(np.float64)[:, None]
                 else:
                     vals = yield from ctx.load_wide(
-                        src + base_pos + i * stride, "f4",
-                        floats_per_load)
+                        line, "f4", floats_per_load)
                     vals = vals.astype(np.float64)
             ctx.charge(LOOP_INSTRS)
             for col in range(vals.shape[1]):

@@ -26,6 +26,7 @@ import numpy as np
 from repro.core import APConfig, AVM
 from repro.gpu import Device
 from repro.gpu.kernel import WarpContext
+from repro.gpu.memory import LaneRange
 from repro.host import HostFileSystem
 from repro.host.filesys import O_RDONLY
 from repro.host.ramfs import RamFS
@@ -144,8 +145,9 @@ def run_workload_file(workload: Workload, *, use_apointers: bool,
                     addr = yield from gpufs.gmmap(ctx, fid, p * page)
                     mapped_page = p
                 ctx.charge(2, chain=2)
-                vals = yield from ctx.load(
-                    addr + (pos % page) + ctx.lane * 4, "f4")
+                vals = yield from ctx.load(LaneRange(
+                    addr + pos % page, 4, ctx.warp_size, ctx.warp_size),
+                    "f4")
                 ctx.charge(LOOP_INSTRS)
                 acc = workload.consume(
                     ctx, vals.astype(np.float64), acc)
@@ -234,22 +236,25 @@ def run_sequential_file_read(*, npages: int, warps: int = 32,
 
     def kernel(ctx: WarpContext):
         base = ctx.warp_id * ppw
+        lanes = ctx.warp_size
         for i in range(ppw):
             p = base + i
             addr = yield from gpufs.gmmap(ctx, fid, p * page)
             if copy_pages:
-                step = 8 * ctx.warp_size
+                step = 8 * lanes
                 for off in range(0, page, step):
-                    lane = off + ctx.lane * 8
                     ctx.charge(4)
-                    vals = yield from ctx.load(addr + lane, "u8")
-                    yield from ctx.store(out + p * page + lane,
-                                         vals, "u8")
+                    vals = yield from ctx.load(
+                        LaneRange(addr + off, 8, lanes, lanes), "u8")
+                    yield from ctx.store(
+                        LaneRange(out + p * page + off, 8, lanes, lanes),
+                        vals, "u8")
             else:
                 ctx.charge(2, chain=2)
-                vals = yield from ctx.load(addr + ctx.lane * 4, "f4")
-                yield from ctx.store(out + p * line + ctx.lane * 4,
-                                     vals, "f4")
+                vals = yield from ctx.load(
+                    LaneRange(addr, 4, lanes, lanes), "f4")
+                yield from ctx.store(
+                    LaneRange(out + p * line, 4, lanes, lanes), vals, "f4")
             yield from gpufs.gmunmap(ctx, fid, p * page)
 
     res = device.launch(kernel, grid=max(warps // 32, 1),
@@ -331,7 +336,8 @@ def run_pagefault_bench(*, use_apointers: bool,
                 offset = base + p * page
                 addr = yield from gpufs.gmmap(ctx, fid, offset)
                 ctx.charge(2, chain=2)
-                yield from ctx.load(addr + ctx.lane * 4, "f4")
+                yield from ctx.load(LaneRange(
+                    addr, 4, ctx.warp_size, ctx.warp_size), "f4")
                 yield from gpufs.gmunmap(ctx, fid, offset)
 
     block_threads = warps_per_block * 32

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.core import APConfig, AVM
 from repro.gpu.kernel import WarpContext
+from repro.gpu.memory import LaneRange
 from repro.host.filesys import O_RDWR
 from repro.workloads.filebench import make_file_env
 
@@ -100,8 +101,9 @@ def run_graphwalk(*, nwarps: int = 4, steps: int = 16,
             cur = vals.astype(np.int64)
         yield from ptr.destroy(ctx)
         scratch = scratch_base + warp * SLOT_BYTES
-        yield from ctx.store(scratch + ctx.lane * 4,
-                             cur.astype(np.uint32), "u4")
+        yield from ctx.store(
+            LaneRange(scratch, 4, ctx.warp_size, ctx.warp_size),
+            cur.astype(np.uint32), "u4")
         yield from sc.pwrite(ctx, out_fid, warp * SLOT_BYTES,
                              SLOT_BYTES, scratch)
         yield from sc.msync(ctx, out_fid)

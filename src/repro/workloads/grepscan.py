@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.gpu.kernel import WarpContext
+from repro.gpu.memory import LaneRange
 from repro.host.filesys import O_RDWR
 from repro.workloads.filebench import make_file_env
 
@@ -95,8 +96,9 @@ def run_grepscan(*, nwarps: int = 8, pages_per_warp: int = 4,
         for off in range(0, chunk_bytes, page):
             yield from sc.pread(ctx, in_fid, base + off, page, scratch)
             for j in range(0, page, block):
-                vals = yield from ctx.load_wide(
-                    scratch + j + ctx.lane * 16, "u4", 4)
+                vals = yield from ctx.load_wide(LaneRange(
+                    scratch + j, 16, ctx.warp_size, ctx.warp_size),
+                    "u4", 4)
                 ctx.charge(SCAN_INSTRS)
                 flat = vals.reshape(-1)      # lane-major: lane*4 + elem
                 for k in np.nonzero(flat < threshold)[0]:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.gpu.kernel import WarpContext
+from repro.gpu.memory import LaneRange
 from repro.host.filesys import O_RDWR
 from repro.workloads.filebench import make_file_env
 
@@ -100,8 +101,8 @@ def run_kvstore(*, nwarps: int = 8, records_per_warp: int = 64,
                 yield from sc.pwrite(ctx, fid, off, RECORD_BYTES, src)
             else:
                 yield from sc.pread(ctx, fid, off, RECORD_BYTES, scratch)
-                vals = yield from ctx.load(
-                    scratch + ctx.lane * 4, "u4")
+                vals = yield from ctx.load(LaneRange(
+                    scratch, 4, ctx.warp_size, ctx.warp_size), "u4")
                 ctx.charge(CHECKSUM_INSTRS)
                 checksum += np.uint64(
                     vals[:RECORD_BYTES // 4].astype(np.uint64).sum())

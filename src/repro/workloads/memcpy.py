@@ -17,6 +17,7 @@ import numpy as np
 from repro.core import APConfig, AVM
 from repro.gpu import Device
 from repro.gpu.kernel import WarpContext
+from repro.gpu.memory import LaneRange
 
 
 @dataclass
@@ -71,8 +72,10 @@ def run_memcpy(device: Device, *, use_apointers: bool, width: int = 4,
     chunk = iters_per_thread * line      # one warp's chunk
 
     def kernel(ctx: WarpContext):
-        base = ctx.warp_id * chunk + ctx.lane * width
+        lanes = ctx.warp_size
+        first = ctx.warp_id * chunk
         if use_apointers:
+            base = first + ctx.lane * width
             sp = avm.gvmmap_device(ctx, src, nbytes)
             dp = avm.gvmmap_device(ctx, dst, nbytes, write=True)
             yield from sp.seek(ctx, base)
@@ -94,23 +97,24 @@ def run_memcpy(device: Device, *, use_apointers: bool, width: int = 4,
                 yield from sp.add(ctx, line)
                 yield from dp.add(ctx, line)
             else:
-                addr = src + base + i * line
+                at = first + i * line
+                src_line = LaneRange(src + at, width, lanes, lanes)
+                dst_line = LaneRange(dst + at, width, lanes, lanes)
                 ctx.charge(3, chain=3)
                 if elems == 1:
-                    v = yield from ctx.load(addr, "f4")
+                    v = yield from ctx.load(src_line, "f4")
                     if compute_per_iter:
                         yield from ctx.compute(compute_per_iter,
                                                chain=compute_per_iter)
                     ctx.charge(2)
-                    yield from ctx.store(dst + base + i * line, v, "f4")
+                    yield from ctx.store(dst_line, v, "f4")
                 else:
-                    v = yield from ctx.load_wide(addr, "f4", 2)
+                    v = yield from ctx.load_wide(src_line, "f4", 2)
                     if compute_per_iter:
                         yield from ctx.compute(compute_per_iter,
                                                chain=compute_per_iter)
                     ctx.charge(2)
-                    yield from ctx.store_wide(dst + base + i * line,
-                                              v, "f4")
+                    yield from ctx.store_wide(dst_line, v, "f4")
         if use_apointers:
             yield from sp.destroy(ctx)
             yield from dp.destroy(ctx)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.sanitizer import SanitizedWarpContext
-from repro.gpu import Device
+from repro.gpu import Device, LaneRange
 from repro.gpu.instructions import TimedLock
 from repro.gpu.kernel import WarpContext
 from repro.host import HostFileSystem
@@ -198,6 +198,46 @@ class TestTornWrite:
         device.launch(kernel, grid=1, block_threads=32)
         device.launch(kernel, grid=1, block_threads=32)
         assert gpufs.sanitizer.violations == []
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_partial_lane_range_records_its_active_lanes(self, wide):
+        # Warp w stores 20 of its 32 lanes from buf + starts[w]: warps
+        # 0 and 1 are disjoint only once the 12 inactive lanes are left
+        # out, and warp 2 overlaps both.  The LaneRange store and the
+        # equivalent masked array store must be recorded alike.
+        starts = (0, 20, 10)
+        elems = 2 if wide else 1
+        width = 4 * elems
+
+        def run(as_range):
+            device, gpufs, _ = make_env()
+            buf = device.alloc(PAGE)
+
+            def kernel(ctx):
+                at = buf + starts[ctx.warp_in_block] * width
+                if as_range:
+                    addrs, mask = LaneRange(at, width, 20, 32), None
+                else:
+                    addrs, mask = at + ctx.lane * width, ctx.lane < 20
+                values = np.ones((32, elems), np.float32)
+                if wide:
+                    yield from ctx.store_wide(addrs, values, "f4",
+                                              mask=mask)
+                else:
+                    yield from ctx.store(addrs, values[:, 0], "f4",
+                                         mask=mask)
+
+            device.launch(kernel, grid=1, block_threads=96)
+            san = gpufs.sanitizer
+            return san.stats, [v.to_dict() for v in san.violations]
+
+        stats, reports = run(as_range=True)
+        assert (stats, reports) == run(as_range=False)
+        assert stats.stores_checked == 3
+        assert reports and all(r["invariant"] == "torn-write"
+                               for r in reports)
+        assert all({r["warp_id"], r["details"]["other_warp"]} != {0, 1}
+                   for r in reports)
 
 
 class TestZeroCostWhenOff:

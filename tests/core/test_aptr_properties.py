@@ -6,7 +6,8 @@ A program is a sequence of pointer steps — scalar and per-lane
 device-memory mapping or a GPUfs file mapping.  After every step:
 
 * the pointer's cached summary agrees with one derived afresh from its
-  per-lane arrays (its alignment may be a coarser power of two);
+  per-lane arrays (its alignment may be a coarser power of two), and a
+  summary ``LaneRange`` materialises to the lanes' aphysical addresses;
 * every linked lane's page is the page it currently points into;
 * loaded values equal the bytes at ``base_offset + pos`` of a shadow
   copy that every store also updates.
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 from repro.core import APConfig, AVM
 from repro.core.apointer import (BoundsError, ProtectionError, _Summary,
                                  _groups)
-from repro.gpu import Device
+from repro.gpu import Device, LaneRange
 from repro.gpu import warp_primitives as wp
 from repro.host import HostFileSystem
 from repro.host.filesys import O_RDWR
@@ -100,6 +101,9 @@ def check_invariants(ptr):
         assert span.addrs is None
     else:
         assert np.array_equal(span.addrs, fresh.addrs)
+        if type(span.addrs) is LaneRange:
+            assert np.array_equal(np.asarray(span.addrs),
+                                  ptr.frame_addr + ptr.in_page_vec())
         if span.all_write is not None:
             assert span.all_write == bool(ptr.linked_write.all())
 
@@ -161,7 +165,7 @@ def run_program(program, *, gpufs_backed, writable, use_tlb):
         avm = AVM(config)
         base = 0
     shadow = image[base:base + size].copy()
-    handed_out = []                       # summary vectors, with copies
+    handed_out = []                       # summary addresses, with copies
 
     def access(ctx, ptr, step, stamp):
         op, arg, mask = step
@@ -231,7 +235,7 @@ def run_program(program, *, gpufs_backed, writable, use_tlb):
             check_invariants(ptr)
             if ptr._sum is not None and ptr._sum.addrs is not None:
                 handed_out.append((ptr._sum.addrs,
-                                   ptr._sum.addrs.copy()))
+                                   np.array(ptr._sum.addrs)))
         yield from ptr.destroy(ctx)
         if use_tlb:
             yield from avm.drain_tlb(ctx, ptr.backend)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpu.memory import DTYPE_WIDTHS, GlobalMemory, MemoryError_, Scratchpad
+from repro.gpu.memory import (DTYPE_WIDTHS, GlobalMemory, LaneRange,
+                              MemoryError_, Scratchpad)
 
 
 @pytest.fixture
@@ -323,6 +324,157 @@ class TestFastPathEquivalence:
         assert clone.read(0, 128).view(np.uint32).tolist() == list(
             range(32))
         assert not mem.read(128, 128).any()
+
+
+@st.composite
+def lane_range_access(draw, max_elems=1):
+    """A memory and one LaneRange access: any access width, a range
+    width equal to it (the range-slice path) or not (the fallback), an
+    aligned or unaligned base that may lie before or past the memory,
+    and sometimes an explicit mask on top."""
+    dtype = draw(st.sampled_from(sorted(DTYPE_WIDTHS)))
+    width = DTYPE_WIDTHS[dtype]
+    elems = draw(st.integers(1, max_elems))
+    access = width * elems
+    step = draw(st.one_of(st.just(access), st.just(access),
+                          st.sampled_from([1, 2, 4, 8, 16])))
+    active = draw(st.integers(0, 32))
+    span = step * 31 + access            # bytes the 32 lanes cover
+    size = draw(st.one_of(st.integers(span, span + 64),
+                          st.integers(8, span)))
+    aligned = st.integers(0, max(size - span, 0) // width).map(
+        lambda k: k * width)             # in bounds when the lanes fit
+    base = draw(st.one_of(
+        aligned, aligned,
+        st.integers(0, size),            # unaligned
+        st.integers(-span, -1),          # before the memory
+        st.integers(size - access + 1, size + 64),   # past the end
+    ))
+    mask = draw(st.one_of(
+        st.none(), st.none(),
+        st.lists(st.booleans(), min_size=32,
+                 max_size=32).map(lambda m: np.array(m, dtype=bool)),
+    ))
+    seed = draw(st.integers(0, 2**31))
+    return dtype, elems, size, LaneRange(base, step, active, 32), mask, seed
+
+
+def _as_array(lanes, mask):
+    """The array access a LaneRange stands for."""
+    prefix = np.arange(lanes.size) < lanes.active
+    return np.asarray(lanes), prefix if mask is None else prefix & mask
+
+
+def _outcome(fn):
+    """What an access did: its result, or the MemoryError_ it raised."""
+    try:
+        return "ok", fn()
+    except MemoryError_ as err:
+        return "raised", str(err)
+
+
+class TestLaneRangeEquivalence:
+    """A LaneRange access equals its materialised array and prefix mask
+    on every path: range slice, aligned gather and byte path."""
+
+    def test_materialises_to_lanes_and_prefix_mask(self):
+        lanes = LaneRange(100, 8, 20, 32)
+        assert np.array_equal(np.asarray(lanes),
+                              100 + 8 * np.arange(32))
+        assert lanes.mask.tolist() == [True] * 20 + [False] * 12
+        assert LaneRange(0, 4, 32, 32).mask is None
+        assert lanes.shift(-8) == LaneRange(92, 8, 20, 32)
+
+    @settings(max_examples=400, deadline=None)
+    @given(lane_range_access(max_elems=4))
+    def test_loads_match_array_and_byte_reference(self, access):
+        dtype, elems, size, lanes, mask, seed = access
+        mem = _filled(size, seed)
+        addrs, keep = _as_array(lanes, mask)
+        if elems == 1:
+            got = _outcome(lambda: mem.load_vector(lanes, dtype, mask))
+            want = _outcome(lambda: mem.load_vector(addrs, dtype, keep))
+        else:
+            got = _outcome(lambda: mem.load_vector_wide(
+                lanes, dtype, elems, mask))
+            want = _outcome(lambda: mem.load_vector_wide(
+                addrs, dtype, elems, keep))
+        assert got[0] == want[0]
+        if got[0] == "raised":
+            assert got[1] == want[1]
+            return
+        assert got[1].dtype == want[1].dtype
+        assert got[1].shape == want[1].shape
+        assert got[1].tobytes() == want[1].tobytes()
+        ref = ref_load(mem.data, addrs, dtype, keep, elems)
+        assert got[1].tobytes() == ref.tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(lane_range_access(max_elems=4))
+    def test_stores_match_array_and_byte_reference(self, access):
+        dtype, elems, size, lanes, mask, seed = access
+        values = _random_values(np.random.RandomState(seed + 1), 32,
+                                elems, dtype)
+        if elems == 1:
+            values = values[:, 0]
+        addrs, keep = _as_array(lanes, mask)
+        by_range, by_array = _filled(size, seed), _filled(size, seed)
+        before = by_range.data.copy()
+        got = _outcome(lambda: by_range.store_vector(lanes, values, dtype,
+                                                     mask))
+        want = _outcome(lambda: by_array.store_vector(addrs, values, dtype,
+                                                      keep))
+        assert got == want
+        assert by_range.data.tobytes() == by_array.data.tobytes()
+        if got[0] == "raised":
+            assert by_range.data.tobytes() == before.tobytes()
+            return
+        ref_store(before, addrs, values.reshape(32, -1), dtype, keep)
+        assert by_range.data.tobytes() == before.tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(lane_range_access(max_elems=4),
+           st.sampled_from([None, 1, 2, 4, 8, 12, 16]))
+    def test_transactions_match_array_and_union_reference(self, access,
+                                                          width):
+        _, _, _, lanes, mask, _ = access
+        width = lanes.width if width is None else width
+        addrs, keep = _as_array(lanes, mask)
+        mem = GlobalMemory(1)
+        got = mem.transactions_for(lanes, width, mask=mask)
+        assert got == mem.transactions_for(addrs, width, mask=keep)
+        assert got == ref_transactions(addrs, width, keep)
+
+    @pytest.mark.parametrize("lanes, want", [
+        (LaneRange(0, 4, 32, 32), 1),      # ends on a segment boundary
+        (LaneRange(0, 8, 32, 32), 2),
+        (LaneRange(4, 4, 32, 32), 2),
+        (LaneRange(256, 16, 32, 32), 4),
+        (LaneRange(124, 4, 1, 32), 1),
+        (LaneRange(126, 4, 1, 32), 2),     # one lane straddling
+        (LaneRange(-128, 8, 16, 32), 1),
+        (LaneRange(64, 8, 0, 32), 0),
+    ])
+    def test_range_transactions_are_closed_form(self, lanes, want):
+        addrs, keep = _as_array(lanes, None)
+        mem = GlobalMemory(1)
+        assert mem.transactions_for(lanes, lanes.width) == want
+        assert ref_transactions(addrs, lanes.width, keep) == want
+
+    def test_out_of_bounds_range_raises_like_the_array(self):
+        mem = GlobalMemory(256)
+        for lanes in (LaneRange(-8, 8, 4, 32), LaneRange(232, 8, 4, 32)):
+            addrs, keep = _as_array(lanes, None)
+            for access in (
+                    lambda a, m: mem.load_vector(a, "u8", m),
+                    lambda a, m: mem.store_vector(
+                        a, np.ones(32, np.uint64), "u8", m)):
+                with pytest.raises(MemoryError_) as by_range:
+                    access(lanes, None)
+                with pytest.raises(MemoryError_) as by_array:
+                    access(addrs, keep)
+                assert str(by_range.value) == str(by_array.value)
+        assert not mem.data.any()
 
 
 class TestScratchpad:
